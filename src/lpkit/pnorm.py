@@ -16,6 +16,7 @@ and an independent coordinate-ascent oracle is provided for cross-checks.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ __all__ = [
 ]
 
 _CONVERGENCE_TOL = 1e-10
+# stagnant iterations after which boyd_lower stops (defined in its docstring)
+_STALL_ITERS = 50
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -208,8 +213,15 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
 
     `matmat`/`rmatmat` apply A and A^H to column blocks.  Each column of
     `starts` seeds one ascent; all columns are iterated simultaneously until
-    the per-column estimates move by less than tol relatively.  Returns the
-    best value found and the witness column (unit p-norm).
+    the per-column estimates move by less than tol relatively, or until the
+    best value over all columns has stagnated for _STALL_ITERS iterations
+    (the stagnation stop of block norm estimators, Higham & Tisseur 2000).
+    An iteration counts as stagnant when no column, climbing at its current
+    pace, would pass the best value by more than tol relatively within
+    2 * _STALL_ITERS iterations; so the best value did not rise, and no
+    slow column below it is on course to overtake it.  The stop reason
+    (settled, stalled or max_iter) is logged at DEBUG.  Returns the best
+    value found and the witness column (unit p-norm).
     """
     q = p / (p - 1.0)
     X = starts.astype(complex, copy=True)
@@ -220,14 +232,25 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     best_X = X.copy()
     prev = np.zeros(m)
     settled = np.zeros(m, dtype=bool)
-    for _ in range(max_iter):
+    stall = 0
+    reason, it = "max_iter", 0
+    for it in range(1, max_iter + 1):
         Y = matmat(X)
         g = pnorm(Y, p, axis=0)
         improved = g > best_val
         best_val = np.where(improved, g, best_val)
         best_X[:, improved] = X[:, improved]
-        settled |= np.abs(g - prev) <= tol * np.maximum(g, 1e-300)
+        step = g - prev
+        settled |= np.abs(step) <= tol * np.maximum(g, 1e-300)
         if np.all(settled):
+            reason = "settled"
+            break
+        # stagnant: no column, at its current pace, would pass the best value
+        # within two stall windows (one that just raised it by more than tol would)
+        closing = (g + 2 * _STALL_ITERS * step).max() > best_val.max() * (1.0 + tol)
+        stall = 0 if closing else stall + 1
+        if stall >= _STALL_ITERS:
+            reason = "stalled"
             break
         prev = g
         yn = Y / np.where(g > 0.0, g, 1.0)
@@ -238,9 +261,11 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
         settled |= zn <= np.real(np.sum(np.conj(Z) * X, axis=0)) * (1.0 + 10.0 * tol)
         W = _dual_vector(Z / np.where(zn > 0.0, zn, 1.0), q)
         wn = pnorm(W, p, axis=0)
-        # stalled columns (A x = 0 or A^H psi = 0) stay where they are
+        # degenerate columns (A x = 0 or A^H psi = 0) stay where they are
         live = (g > 0.0) & (zn > 0.0) & (wn > 0.0) & ~settled
         X = np.where(live, W / np.where(wn > 0.0, wn, 1.0), X)
+    _log.debug("boyd_lower stopped (%s) after %d iterations, n=%d, %d columns",
+               reason, it, X.shape[0], m)
     j = int(np.argmax(best_val))
     w = best_X[:, j]
     w = w / pnorm(w, p)

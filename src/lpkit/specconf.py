@@ -507,17 +507,20 @@ def _tuple_at(evaluate: Callable, base: Angle, n: int) -> CyclicElement:
 
 
 def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float,
-                seed: int) -> tuple[float, np.ndarray, bool]:
+                seed: int) -> tuple[float, np.ndarray, bool, float]:
     """Sup of tuple norms over a slot: exact over points, gridded over arcs.
 
-    Returns (lower bound, witness, exact) where exact means the slot had no
-    arcs, so the sup is a finite max of certified point values.
+    Returns (lower bound, witness, exact, point upper) where exact means the
+    slot had no arcs, so the sup is a finite max of certified point values,
+    and point upper is the largest upper bound over the slot's points.
     """
     best = -math.inf
     witness = None
     exact = not arcset.arcs and not arcset.full
+    point_upper = -math.inf
     for a in arcset.points:
         est = fpzn_norm(_tuple_at(evaluate, a, n), p, seed=seed)
+        point_upper = max(point_upper, est.upper)
         if est.lower > best:
             best, witness = est.lower, est.witness
     grid: list = []
@@ -551,7 +554,7 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
         est = fpzn_norm(_tuple_at(evaluate, (lo + hi) / 2.0, n), p, seed=seed)
         if est.lower > best:
             best, witness = est.lower, est.witness
-    return best, witness, exact
+    return best, witness, exact, point_upper
 
 
 def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
@@ -581,16 +584,13 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
 
     slots = {} if config.maximal else config.finite_slots
     for n, arcset in slots.items():
-        lo, wit, exact = _slot_lower(evaluate, arcset, n, p, resolution, seed)
+        lo, wit, exact, point_upper = _slot_lower(evaluate, arcset, n, p, resolution, seed)
         if lo > lower:
             lower = lo
             if wit is not None:
                 witness = wit
         if exact:
-            slot_upper = max(
-                fpzn_norm(_tuple_at(evaluate, a, n), p, seed=seed).upper
-                for a in arcset.points
-            )
+            slot_upper = point_upper
         else:
             slot_upper = arc_upper
             all_exact = False
@@ -623,7 +623,7 @@ def config_value(evaluate: Callable, config: SpectralConfiguration, p,
         raise ValueError("pointwise evaluation needs a finite-order configuration")
     best = 0.0
     for n, arcset in config.finite_slots.items():
-        lo, _, _ = _slot_lower(evaluate, arcset, n, p, resolution, seed)
+        lo = _slot_lower(evaluate, arcset, n, p, resolution, seed)[0]
         best = max(best, lo)
     return best
 

@@ -1,9 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from lpkit.pnorm import NormEstimate, PExponent, as_exponent, opnorm, opnorm_oracle, pnorm
+
+from conftest import random_laurent
 
 
 class TestPExponent:
@@ -147,3 +150,57 @@ class TestProperties:
         assert e1.lower == e2.lower and e1.upper == e2.upper
         assert np.array_equal(e1.witness, e2.witness)
         assert opnorm_oracle(A, 2.7, samples=8, seed=5) == opnorm_oracle(A, 2.7, samples=8, seed=5)
+
+
+class TestStallRule:
+    @staticmethod
+    def _counted_fpzn(monkeypatch, x, seed=0):
+        """fpzn_norm(x, 1.5) with the ascent's matmat calls counted."""
+        import lpkit.cyclic as cyclic
+
+        calls = [0]
+        real = cyclic.boyd_lower
+
+        def counting_boyd(matmat, rmatmat, starts, p, **kwargs):
+            def counted(X):
+                calls[0] += 1
+                return matmat(X)
+
+            return real(counted, rmatmat, starts, p, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cyclic, "boyd_lower", counting_boyd)
+            est = cyclic.fpzn_norm(x, 1.5, seed=seed)
+        return est.lower, calls[0]
+
+    def test_stall_stop_saves_iterations_not_value(self, rng, monkeypatch):
+        import lpkit.pnorm as pnorm_mod
+
+        # here the eigenvector starts hold the best value for the first ~90
+        # iterations until the basis columns climb past it; a window on the
+        # best value alone would stop at iteration 51, 7.8e-4 short
+        x = random_laurent(rng, span=5).samples(96)
+        lower, calls = self._counted_fpzn(monkeypatch, x)
+        monkeypatch.setattr(pnorm_mod, "_STALL_ITERS", 10_000)
+        full_lower, full_calls = self._counted_fpzn(monkeypatch, x)
+        assert calls < full_calls / 2
+        assert lower == pytest.approx(full_lower, rel=1e-9)
+
+    def test_equal_seeds_equal_call_counts(self, rng, monkeypatch):
+        x = random_laurent(rng, span=5).samples(96)
+        first = self._counted_fpzn(monkeypatch, x, seed=3)
+        second = self._counted_fpzn(monkeypatch, x, seed=3)
+        assert first == second
+
+    def test_stop_reason_logged(self, rng, caplog):
+        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        with caplog.at_level(logging.DEBUG, logger="lpkit"):
+            opnorm(A, 1.5, seed=0, max_iter=3)
+        reasons = [r.getMessage() for r in caplog.records if r.name.startswith("lpkit")]
+        assert len(reasons) == 1
+        assert "(max_iter) after 3 iterations" in reasons[0]
+
+    def test_silent_by_default(self, rng, capsys):
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        opnorm(A, 1.5, seed=0, max_iter=3)
+        assert capsys.readouterr() == ("", "")

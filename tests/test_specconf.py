@@ -275,6 +275,26 @@ class TestFpsigmaNorm:
         pts = [1.0, -1.0, 1j]
         assert est.lower >= max(abs(f(z)) for z in pts) - 1e-8
 
+    def test_one_fpzn_call_per_point(self, rng, monkeypatch):
+        import lpkit.specconf as specconf
+
+        calls = []
+        real = specconf.fpzn_norm
+
+        def counting(x, p, **kwargs):
+            est = real(x, p, **kwargs)
+            calls.append(est)
+            return est
+
+        monkeypatch.setattr(specconf, "fpzn_norm", counting)
+        f = random_laurent(rng, span=3)
+        cfg = points_config({2: (0, Fr(1, 2)), 3: (Fr(1, 7), Fr(1, 7) + Fr(1, 3),
+                                                   Fr(1, 7) + Fr(2, 3))})
+        est = fpsigma_norm(f, cfg, 3, seed=0)
+        assert len(calls) == 5
+        assert est.upper == max(e.upper for e in calls)
+        assert est.lower == max(e.lower for e in calls)
+
     def test_leq_implies_norm_leq(self, rng):
         for k in range(5):
             small = saturate(random_points_config(rng))
