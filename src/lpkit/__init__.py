@@ -16,6 +16,7 @@ from .cyclic import (
     classify_isometry,
     embed_divisor,
     fpzn_norm,
+    fpzn_norms,
     gap_witness,
     restrict,
     rotate,
@@ -73,6 +74,7 @@ __all__ = [
     "fpv_norm",
     "fpz_norm",
     "fpzn_norm",
+    "fpzn_norms",
     "gap_witness",
     "gauge_trivialize",
     "lattice_inf",

@@ -34,10 +34,15 @@ __all__ = [
     "classify_isometry",
     "embed_divisor",
     "fpzn_norm",
+    "fpzn_norms",
     "gap_witness",
     "restrict",
     "rotate",
 ]
+
+
+# widest block one grouped ascent iterates; bounds its memory, not its result
+_CHUNK_COLUMNS = 4096
 
 
 class GapSearchError(RuntimeError):
@@ -103,17 +108,25 @@ def circulant_of(x: CyclicElement) -> np.ndarray:
     return scipy.linalg.circulant(x.coefficients())
 
 
-def _circulant_matmats(x: CyclicElement):
-    """Column-block products by the circulant and its adjoint, via FFT."""
-    fhat = np.fft.fft(x.coefficients())
+def _circulant_matmats(fhat: np.ndarray):
+    """Column-block products by stacked circulants, via FFT.
 
-    def matmat(V: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(V, axis=0) * fhat[:, None], axis=0)
+    Column g of `fhat` is the FFT symbol of circulant g.  A block holds equal
+    group-major runs of columns, one run per selected circulant;
+    `select(live)` selects the circulants `live` (all of them at first).
+    """
+    sym = [fhat[:, :, None], np.conj(fhat)[:, :, None]]  # broadcast over each run
 
-    def rmatmat(V: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(V, axis=0) * np.conj(fhat)[:, None], axis=0)
+    def select(live) -> None:
+        sym[0] = fhat[:, live, None]
+        sym[1] = np.conj(sym[0])
 
-    return matmat, rmatmat
+    def apply(V: np.ndarray, F: np.ndarray) -> np.ndarray:
+        n, m = V.shape
+        return np.fft.ifft((np.fft.fft(V, axis=0).reshape(n, F.shape[1], -1) * F).reshape(n, m),
+                           axis=0)
+
+    return (lambda V: apply(V, sym[0])), (lambda V: apply(V, sym[1])), select
 
 
 def _eigenvector(n: int, j: int) -> np.ndarray:
@@ -130,36 +143,65 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = 1e-10,
     eigenvectors, so the lower bound dominates max |xi|) and Riesz-Thorin
     interpolation of the exact endpoint norms.
     """
+    return fpzn_norms([x], p, restarts=restarts, tol=tol, max_iter=max_iter, seed=seed)[0]
+
+
+def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10,
+               max_iter: int = 10_000, seed: int = 0) -> list[NormEstimate]:
+    """fpzn_norm of each of several elements of one order, solved together.
+
+    Every element gets the bracket it gets alone, bit for bit; the Boyd
+    ascents run as groups of one block, at most _CHUNK_COLUMNS columns each.
+    """
     p = as_exponent(p)
-    n = x.n
-    c = x.coefficients()
+    xs = list(xs)
+    if not xs:
+        return []
+    n = xs[0].n
+    if any(x.n != n for x in xs):
+        raise ValueError("elements must share one group order")
+    coeffs = [x.coefficients() for x in xs]
 
     if p.is_one:
-        val = float(np.sum(np.abs(c)))
         w = np.zeros(n, dtype=complex)
         w[0] = 1.0
-        return NormEstimate(val, val, w, "exact-p1")
+        vals = [float(np.sum(np.abs(c))) for c in coeffs]
+        return [NormEstimate(val, val, w.copy(), "exact-p1") for val in vals]
 
     if p.is_two:
-        j = int(np.argmax(np.abs(x.xi)))
-        return NormEstimate(float(np.abs(x.xi[j])), float(np.abs(x.xi[j])),
-                            _eigenvector(n, j), "exact-p2")
+        out = []
+        for x in xs:
+            j = int(np.argmax(np.abs(x.xi)))
+            out.append(NormEstimate(float(np.abs(x.xi[j])), float(np.abs(x.xi[j])),
+                                    _eigenvector(n, j), "exact-p2"))
+        return out
 
     pv = p.value
-    matmat, rmatmat = _circulant_matmats(x)
     if n <= 32:
-        starts = default_starts(n, restarts, seed)
+        shared = default_starts(n, restarts, seed)
+        starts = [shared] * len(xs)
     else:
-        top = np.argsort(np.abs(x.xi))[-8:]
-        eig = np.stack([_eigenvector(n, int(j)) for j in top], axis=1)
         rng = np.random.default_rng(seed)
         rand = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
-        starts = np.concatenate([np.eye(n, dtype=complex)[:, :8], eig, rand], axis=1)
-    lower, w = boyd_lower(matmat, rmatmat, starts, pv, tol=tol, max_iter=max_iter)
-    n1 = float(np.sum(np.abs(c)))
-    n2 = float(np.max(np.abs(x.xi)))
-    upper = interpolation_upper(pv, n1, n2, n1)
-    return NormEstimate(lower, max(upper, lower), w, "boyd+interp")
+        starts = []
+        for x in xs:
+            top = np.argsort(np.abs(x.xi))[-8:]
+            eig = np.stack([_eigenvector(n, int(j)) for j in top], axis=1)
+            starts.append(np.concatenate([np.eye(n, dtype=complex)[:, :8], eig, rand], axis=1))
+    per_block = max(1, _CHUNK_COLUMNS // starts[0].shape[1])
+    out = []
+    for lo in range(0, len(xs), per_block):
+        block = slice(lo, lo + per_block)
+        fhat = np.stack([np.fft.fft(c) for c in coeffs[block]], axis=1)
+        matmat, rmatmat, select = _circulant_matmats(fhat)
+        found = boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), pv,
+                           tol=tol, max_iter=max_iter, groups=fhat.shape[1], select=select)
+        for x, c, (lower, w) in zip(xs[block], coeffs[block], found):
+            n1 = float(np.sum(np.abs(c)))
+            n2 = float(np.max(np.abs(x.xi)))
+            upper = interpolation_upper(pv, n1, n2, n1)
+            out.append(NormEstimate(lower, max(upper, lower), w, "boyd+interp"))
+    return out
 
 
 def embed_divisor(b: CyclicElement, m: int) -> CyclicElement:

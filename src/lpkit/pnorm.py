@@ -128,18 +128,6 @@ def _as_square_matrix(A) -> np.ndarray:
     return A
 
 
-def csign(z: np.ndarray) -> np.ndarray:
-    """Complex signum z/|z| with the convention 0 -> 0.
-
-    Magnitudes below the normal floating range count as zero so the
-    division cannot overflow on denormals.
-    """
-    a = np.abs(z)
-    live = a > 1e-300
-    safe = np.where(live, a, 1.0)
-    return np.where(live, z / safe, 0.0)
-
-
 def pnorm(x: np.ndarray, p: float, axis=None):
     """ell^p norm, overflow-safe via max factoring."""
     a = np.abs(np.asarray(x))
@@ -151,9 +139,14 @@ def pnorm(x: np.ndarray, p: float, axis=None):
 
 
 def _dual_vector(y: np.ndarray, p: float) -> np.ndarray:
-    """Duality map psi_p(y)_i = |y_i|^{p-1} sign(y_i), columnwise normalized input."""
+    """Duality map psi_p(y)_i = |y_i|^{p-1} sign(y_i), columnwise normalized input.
+
+    The complex signum y/|y| takes 0 -> 0; magnitudes below the normal
+    floating range count as zero so the division cannot overflow on denormals.
+    """
     a = np.abs(y)
-    return a ** (p - 1.0) * csign(y)
+    live = a > 1e-300
+    return a ** (p - 1.0) * np.where(live, y / np.where(live, a, 1.0), 0.0)
 
 
 def _norm1(A: np.ndarray) -> tuple[float, int]:
@@ -208,7 +201,8 @@ def default_starts(n: int, restarts: int, seed: int) -> np.ndarray:
 
 
 def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
-               tol: float = _CONVERGENCE_TOL, max_iter: int = 10_000) -> tuple[float, np.ndarray]:
+               tol: float = _CONVERGENCE_TOL, max_iter: int = 10_000, *,
+               groups: int = 1, select=None) -> list[tuple[float, np.ndarray]]:
     """Monotone lower bound on an operator p-norm by Boyd's ascent.
 
     `matmat`/`rmatmat` apply A and A^H to column blocks.  Each column of
@@ -220,20 +214,41 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     pace, would pass the best value by more than tol relatively within
     2 * _STALL_ITERS iterations; so the best value did not rise, and no
     slow column below it is on course to overtake it.  The stop reason
-    (settled, stalled or max_iter) is logged at DEBUG.  Returns the best
-    value found and the witness column (unit p-norm).
+    (settled, stalled or max_iter) is logged at DEBUG.
+
+    Independent problems of one size run side by side as groups: `starts`
+    holds `groups` equal group-major column blocks, one per operator, and
+    `matmat`/`rmatmat` apply each group's operator to its own block.  Each
+    group stops on its own rule, exactly as it would alone.  A group that
+    stops is frozen: its result is recorded and its columns leave the
+    block, after `select(live)` has narrowed the operators to the groups
+    still running (indices into the groups; `select` may be None for one
+    group).  Returns, per group, the best value found and its witness
+    column (unit p-norm), re-evaluated at the end in one block of one
+    column per group, after `select(range(groups))`.
     """
     q = p / (p - 1.0)
     X = starts.astype(complex, copy=True)
     norms = pnorm(X, p, axis=0)
     X /= np.where(norms > 0.0, norms, 1.0)
-    m = X.shape[1]
-    best_val = np.zeros(m)
+    k = X.shape[1] // groups
+    best_val = np.zeros(X.shape[1])
     best_X = X.copy()
-    prev = np.zeros(m)
-    settled = np.zeros(m, dtype=bool)
-    stall = 0
-    reason, it = "max_iter", 0
+    prev = np.zeros(X.shape[1])
+    settled = np.zeros(X.shape[1], dtype=bool)
+    stall = np.zeros(groups, dtype=int)
+    live = np.arange(groups)  # the running groups, in block order
+    witnesses = [None] * groups
+
+    def freeze(slots, reason: str, it: int) -> None:
+        for i in slots:
+            j = i * k + int(np.argmax(best_val[i * k:(i + 1) * k]))
+            w = best_X[:, j]
+            witnesses[live[i]] = w / pnorm(w, p)
+            _log.debug("boyd_lower stopped (%s) after %d iterations, n=%d, %d columns",
+                       reason, it, X.shape[0], k)
+
+    it = 0
     for it in range(1, max_iter + 1):
         Y = matmat(X)
         g = pnorm(Y, p, axis=0)
@@ -242,16 +257,26 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
         best_X[:, improved] = X[:, improved]
         step = g - prev
         settled |= np.abs(step) <= tol * np.maximum(g, 1e-300)
-        if np.all(settled):
-            reason = "settled"
-            break
-        # stagnant: no column, at its current pace, would pass the best value
-        # within two stall windows (one that just raised it by more than tol would)
-        closing = (g + 2 * _STALL_ITERS * step).max() > best_val.max() * (1.0 + tol)
-        stall = 0 if closing else stall + 1
-        if stall >= _STALL_ITERS:
-            reason = "stalled"
-            break
+        # stagnant: no column, at its current pace, would pass its group's best
+        # value within two stall windows (one that just raised it by more than tol would)
+        lead = (g + 2 * _STALL_ITERS * step).reshape(-1, k).max(axis=1)
+        stall = np.where(lead > best_val.reshape(-1, k).max(axis=1) * (1.0 + tol), 0, stall + 1)
+        all_settled = settled.reshape(-1, k).all(axis=1)
+        done = all_settled | (stall >= _STALL_ITERS)
+        if done.any():
+            freeze(np.flatnonzero(all_settled), "settled", it)
+            freeze(np.flatnonzero(done & ~all_settled), "stalled", it)
+            if done.all():
+                break
+            keep = ~done
+            cols = np.repeat(keep, k)
+            # compress keeps the blocks C-ordered, where a boolean column index
+            # returns them Fortran-ordered; pnorm's column sums follow the memory
+            # order, so the order decides their roundoff
+            X, Y, best_X = (np.compress(cols, B, axis=1) for B in (X, Y, best_X))
+            g, best_val, settled = g[cols], best_val[cols], settled[cols]
+            stall, live = stall[keep], live[keep]
+            select(live)
         prev = g
         yn = Y / np.where(g > 0.0, g, 1.0)
         Z = rmatmat(_dual_vector(yn, p))
@@ -262,14 +287,14 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
         W = _dual_vector(Z / np.where(zn > 0.0, zn, 1.0), q)
         wn = pnorm(W, p, axis=0)
         # degenerate columns (A x = 0 or A^H psi = 0) stay where they are
-        live = (g > 0.0) & (zn > 0.0) & (wn > 0.0) & ~settled
-        X = np.where(live, W / np.where(wn > 0.0, wn, 1.0), X)
-    _log.debug("boyd_lower stopped (%s) after %d iterations, n=%d, %d columns",
-               reason, it, X.shape[0], m)
-    j = int(np.argmax(best_val))
-    w = best_X[:, j]
-    w = w / pnorm(w, p)
-    return float(pnorm(matmat(w[:, None]), p, axis=0)[0]), w
+        active = (g > 0.0) & (zn > 0.0) & (wn > 0.0) & ~settled
+        X = np.where(active, W / np.where(wn > 0.0, wn, 1.0), X)
+    else:
+        freeze(range(len(live)), "max_iter", it)
+    if select is not None:
+        select(np.arange(groups))
+    Y = matmat(np.stack(witnesses, axis=1))
+    return [(float(pnorm(Y[:, [i]], p, axis=0)[0]), w) for i, w in enumerate(witnesses)]
 
 
 def opnorm(A, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL,
@@ -296,7 +321,7 @@ def opnorm(A, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL,
 
     pv = p.value
     starts = default_starts(n, restarts, seed)
-    lower, w = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, pv,
+    [(lower, w)] = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, pv,
                           tol=tol, max_iter=max_iter)
     n1, _ = _norm1(A)
     n2, _ = _norm2(A)

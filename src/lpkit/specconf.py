@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cyclic import CyclicElement, fpzn_norm
+from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
 from .pnorm import NormEstimate, as_exponent, interpolation_upper
 from .zline import LaurentPolynomial, fpz_norm, norm_l1, sup_exact
 
@@ -264,13 +264,14 @@ class ArcSet:
                         pts.append(lo)
         return ArcSet(tuple(pts), tuple(arcs), False)
 
-    def sample_angles(self, resolution: float) -> list:
-        """Representative angles: all points, plus arc grids at `resolution`."""
-        out = list(self.points)
+    def arc_grid(self, resolution: float) -> list:
+        """Sample angles over the arcs at `resolution`: a uniform grid of at
+        least 8 angles on the full circle, else each arc's ends and evenly
+        spaced angles between them (no isolated points)."""
         if self.full:
             count = max(8, int(math.ceil(1.0 / resolution)))
-            out.extend(k / count for k in range(count))
-            return out
+            return [k / count for k in range(count)]
+        out = []
         for s, ln in self.arcs:
             count = max(2, int(math.ceil(float(ln) / resolution)) + 1)
             out.extend(float(s) + float(ln) * k / (count - 1) for k in range(count))
@@ -512,29 +513,25 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
 
     Returns (lower bound, witness, exact, point upper) where exact means the
     slot had no arcs, so the sup is a finite max of certified point values,
-    and point upper is the largest upper bound over the slot's points.
+    and point upper is the largest upper bound over the slot's points.  The
+    tuples of the points, of the grid and of each golden-section pair are
+    solved together.
     """
+    def norms(angles) -> list[NormEstimate]:
+        return fpzn_norms([_tuple_at(evaluate, a, n) for a in angles], p, seed=seed)
+
     best = -math.inf
     witness = None
     exact = not arcset.arcs and not arcset.full
     point_upper = -math.inf
-    for a in arcset.points:
-        est = fpzn_norm(_tuple_at(evaluate, a, n), p, seed=seed)
+    for est in norms(arcset.points):
         point_upper = max(point_upper, est.upper)
         if est.lower > best:
             best, witness = est.lower, est.witness
-    grid: list = []
-    if arcset.full:
-        count = max(8, int(math.ceil(1.0 / resolution)))
-        grid.extend(k / count for k in range(count))
-    else:
-        for s, ln in arcset.arcs:
-            count = max(2, int(math.ceil(float(ln) / resolution)) + 1)
-            grid.extend(float(s) + float(ln) * k / (count - 1) for k in range(count))
+    grid = arcset.arc_grid(resolution)
     if grid:
         vals = []
-        for a in grid:
-            est = fpzn_norm(_tuple_at(evaluate, a, n), p, seed=seed)
+        for est in norms(grid):
             vals.append(est.lower)
             if est.lower > best:
                 best, witness = est.lower, est.witness
@@ -545,13 +542,12 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
         for _ in range(30):
             c = hi - invphi * (hi - lo)
             d = lo + invphi * (hi - lo)
-            vc = fpzn_norm(_tuple_at(evaluate, c, n), p, seed=seed).lower
-            vd = fpzn_norm(_tuple_at(evaluate, d, n), p, seed=seed).lower
+            vc, vd = (est.lower for est in norms([c, d]))
             if vc >= vd:
                 hi = d
             else:
                 lo = c
-        est = fpzn_norm(_tuple_at(evaluate, (lo + hi) / 2.0, n), p, seed=seed)
+        est = norms([(lo + hi) / 2.0])[0]
         if est.lower > best:
             best, witness = est.lower, est.witness
     return best, witness, exact, point_upper

@@ -9,14 +9,15 @@ from lpkit.cyclic import (
     classify_isometry,
     embed_divisor,
     fpzn_norm,
+    fpzn_norms,
     gap_margin,
     gap_witness,
     restrict,
     rotate,
 )
-from lpkit.pnorm import PExponent, opnorm, opnorm_oracle
+from lpkit.pnorm import PExponent, default_starts, opnorm, opnorm_oracle
 
-from conftest import random_unimodular
+from conftest import random_laurent, random_unimodular
 
 
 def dense_norm_via_dft(xi, p, seed=0):
@@ -116,6 +117,76 @@ class TestFpznNorm:
                 est = fpzn_norm(CyclicElement(n, xi), p, seed=k)
                 dual = fpzn_norm(CyclicElement(n, rev), PExponent(p).dual().value, seed=k)
                 assert est.overlaps(dual, 1e-9)
+
+
+class TestFpznNorms:
+    @staticmethod
+    def _elements(rng, n, count):
+        # polynomial samples: their ascents stop on the stall rule as well as
+        # on settling, so a batch mixes groups that stop differently
+        return [random_laurent(rng, span=5).samples(n) for _ in range(count)]
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.lower == b.lower and a.upper == b.upper and a.method == b.method
+            assert np.array_equal(a.witness, b.witness)
+
+    @staticmethod
+    def _count_blocks(monkeypatch):
+        import lpkit.cyclic as cyclic
+
+        blocks = [0]
+        real = cyclic.boyd_lower
+
+        def counting(*args, **kwargs):
+            blocks[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cyclic, "boyd_lower", counting)
+        return blocks
+
+    @pytest.mark.parametrize("n", [1, 5, 16, 40])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_batches_match_single_calls(self, rng, monkeypatch, n, p):
+        import lpkit.cyclic as cyclic
+
+        xs = self._elements(rng, n, 7)
+        singles = [fpzn_norm(x, p, seed=2) for x in xs]
+        for size in (1, 2, 7):
+            self._assert_same(fpzn_norms(xs[:size], p, seed=2), singles[:size])
+        # a cap of three elements' columns splits the seven into blocks of 3, 3 and 1
+        width = 32 if n > 32 else default_starts(n, 32, 0).shape[1]
+        monkeypatch.setattr(cyclic, "_CHUNK_COLUMNS", 3 * width)
+        blocks = self._count_blocks(monkeypatch)
+        self._assert_same(fpzn_norms(xs, p, seed=2), singles)
+        assert blocks[0] == 3
+
+    def test_one_above_the_chunk_cap(self, rng, monkeypatch):
+        import lpkit.cyclic as cyclic
+
+        xs = self._elements(rng, 5, cyclic._CHUNK_COLUMNS // default_starts(5, 32, 0).shape[1] + 1)
+        singles = [fpzn_norm(x, 3.0, seed=2) for x in xs]
+        blocks = self._count_blocks(monkeypatch)
+        self._assert_same(fpzn_norms(xs, 3.0, seed=2), singles)
+        assert blocks[0] == 2
+
+    def test_reversed_batch(self, rng):
+        for n, p in ((6, 1.5), (40, 3.0)):
+            xs = self._elements(rng, n, 9)
+            forward = fpzn_norms(xs, p, seed=1)
+            self._assert_same(fpzn_norms(xs[::-1], p, seed=1)[::-1], forward)
+
+    def test_exact_exponents_and_empty(self, rng):
+        xs = self._elements(rng, 5, 4)
+        for p in (1.0, 2.0):
+            self._assert_same(fpzn_norms(xs, p), [fpzn_norm(x, p) for x in xs])
+        assert fpzn_norms([], 1.5) == []
+
+    def test_orders_must_agree(self, rng):
+        with pytest.raises(ValueError):
+            fpzn_norms(self._elements(rng, 3, 1) + self._elements(rng, 4, 1), 1.5)
 
 
 class TestEmbedRestrictRotate:

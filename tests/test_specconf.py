@@ -90,6 +90,14 @@ class TestArcSet:
         e = ArcSet(arcs=((0, Fr(1, 4)),)).intersection(ArcSet(arcs=((Fr(1, 4), Fr(1, 2)),)))
         assert e.points == (Fr(1, 4),) and not e.arcs
 
+    def test_arc_grid(self):
+        assert ArcSet(full=True).arc_grid(Fr(1, 4)) == [k / 8 for k in range(8)]
+        assert ArcSet(full=True).arc_grid(1 / 16) == [k / 16 for k in range(16)]
+        # both ends of every arc, isolated points left out
+        arcs = ArcSet((Fr(1, 2),), ((Fr(1, 8), Fr(3, 8)), (Fr(5, 8), Fr(7, 8))))
+        assert arcs.arc_grid(1 / 8) == [0.125, 0.25, 0.375, 0.625, 0.75, 0.875]
+        assert ArcSet(points=(Fr(1, 2),)).arc_grid(1 / 8) == []
+
 
 class TestConfigurationBasics:
     def test_validation_rotation_invariance(self):
@@ -279,14 +287,14 @@ class TestFpsigmaNorm:
         import lpkit.specconf as specconf
 
         calls = []
-        real = specconf.fpzn_norm
+        real = specconf.fpzn_norms
 
-        def counting(x, p, **kwargs):
-            est = real(x, p, **kwargs)
-            calls.append(est)
-            return est
+        def counting(xs, p, **kwargs):
+            ests = real(xs, p, **kwargs)
+            calls.extend(ests)
+            return ests
 
-        monkeypatch.setattr(specconf, "fpzn_norm", counting)
+        monkeypatch.setattr(specconf, "fpzn_norms", counting)
         f = random_laurent(rng, span=3)
         cfg = points_config({2: (0, Fr(1, 2)), 3: (Fr(1, 7), Fr(1, 7) + Fr(1, 3),
                                                    Fr(1, 7) + Fr(2, 3))})
