@@ -12,8 +12,7 @@ grid, 3 precondition violation, 4 empty lattice meet.  All numbers are
 serialized with 17 significant digits; repeated runs with the same
 configuration (including seed) produce byte-identical output.  Timing
 columns in sweeps are zero unless --timings is passed, keeping the default
-output reproducible.  LPKIT_THREADS caps internal parallelism (execution is
-sequential, so any cap is honored) and is echoed in the audit block.
+output reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -40,7 +38,7 @@ from .lamperti import (
     periods,
     spectral_configuration_of,
 )
-from .pnorm import NormEstimate, as_exponent
+from .pnorm import as_exponent
 from .specconf import (
     EmptyMeetError,
     SpectralConfiguration,
@@ -103,19 +101,8 @@ def _parse(loader, obj, what: str):
         raise SchemaError(f"bad {what}: {exc}") from exc
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("LPKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _audit(args: argparse.Namespace, **extra) -> dict:
-    out = {
-        "version": __version__,
-        "threads_cap": _threads_cap(),
-    }
+    out = {"version": __version__}
     for key in ("command", "kind", "op", "p", "tol", "n_max", "resolution",
                 "seed", "mode", "format"):
         if hasattr(args, key) and getattr(args, key) is not None:
@@ -142,10 +129,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _estimate_payload(est: NormEstimate) -> dict:
-    return est.to_json()
-
-
 def _cmd_norm(args) -> int:
     p = args.p
     as_exponent(p)  # p < 1 is a precondition violation, not a schema problem
@@ -156,11 +139,11 @@ def _cmd_norm(args) -> int:
     if args.kind == "zn":
         x = _parse(CyclicElement.from_json, _load_json(args.inputs[0]), "cyclic element")
         est = fpzn_norm(x, p, seed=seed)
-        payload = _estimate_payload(est)
+        payload = est.to_json()
     elif args.kind == "z":
         f = _parse(LaurentPolynomial.from_json, _load_json(args.inputs[0]), "polynomial")
         est = fpz_norm(f, p, tol=args.tol, n_max=args.n_max, seed=seed)
-        payload = _estimate_payload(est)
+        payload = est.to_json()
     elif args.kind == "sigma":
         if not args.poly:
             raise SchemaError("norm sigma needs --poly")
@@ -169,7 +152,7 @@ def _cmd_norm(args) -> int:
         f = _parse(LaurentPolynomial.from_json, _load_json(args.poly), "polynomial")
         est = fpsigma_norm(f, config, p, resolution=args.resolution,
                            n_max=args.n_max, seed=seed)
-        payload = _estimate_payload(est)
+        payload = est.to_json()
     else:  # isometry
         if not args.poly:
             raise SchemaError("norm isometry needs --poly")
@@ -181,12 +164,12 @@ def _cmd_norm(args) -> int:
             direct, via = result
             slack = 1e-9 * max(1.0, direct.upper, via.upper)  # roundoff guard
             payload = {
-                "direct": _estimate_payload(direct),
-                "via_sigma": _estimate_payload(via),
+                "direct": direct.to_json(),
+                "via_sigma": via.to_json(),
                 "overlap": direct.overlaps(via, slack),
             }
         else:
-            payload = _estimate_payload(result)
+            payload = result.to_json()
 
     if args.format == "csv":
         if "direct" in payload:

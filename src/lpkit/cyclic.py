@@ -288,21 +288,14 @@ def classify_isometry(x: CyclicElement, p, tol: float = 1e-9, *,
     model = zeta * np.exp(2j * np.pi * k * np.arange(n) / n)
     if abs(abs(zeta) - 1.0) <= tol and np.max(np.abs(x.xi - model)) <= tol:
         return IsometryClassification("isometry", zeta=zeta / abs(zeta), k=k)
-    lo = fpzn_norm(x, p, seed=seed).lower
-    lo_inv = fpzn_norm(x.inverse(), p, seed=seed).lower
+    lo, lo_inv = (est.lower for est in fpzn_norms([x, x.inverse()], p, seed=seed))
     return IsometryClassification("not-isometry", excess=max(lo, lo_inv) - 1.0)
-
-
-def _restricted_sup_upper(alpha: CyclicElement, d: int, p, *, seed: int = 0) -> float:
-    return max(
-        fpzn_norm(restrict(alpha, d, b), p, seed=seed).upper
-        for b in range(alpha.n // d)
-    )
 
 
 def gap_margin(alpha: CyclicElement, d: int, p, *, seed: int = 0) -> float:
     """Certified margin ||alpha||_lower - max_b ||restrict(alpha, d, b)||_upper."""
-    return fpzn_norm(alpha, p, seed=seed).lower - _restricted_sup_upper(alpha, d, p, seed=seed)
+    restricted = fpzn_norms([restrict(alpha, d, b) for b in range(alpha.n // d)], p, seed=seed)
+    return fpzn_norm(alpha, p, seed=seed).lower - max(est.upper for est in restricted)
 
 
 def _structured_candidate(n: int, d: int, zetas: np.ndarray, ks: np.ndarray) -> CyclicElement:

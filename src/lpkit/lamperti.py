@@ -313,7 +313,7 @@ def spectral_configuration_of(v: SpatialIsometry) -> SpectralConfiguration:
 
 
 def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
-             seed: int = 0, n_max: int = 512, **opnorm_opts):
+             seed: int = 0, n_max: int = 512):
     """Norm of f(v): directly as a matrix norm, via the configuration, or both.
 
     direct: operator norm of sum a_m A^m on the weighted space (finite part
@@ -335,7 +335,7 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
         for m, a in f.terms:
             fa += a * np.linalg.matrix_power(A, m) if m >= 0 else a * np.linalg.matrix_power(
                 np.linalg.inv(A), -m)
-        return opnorm(fa, p, seed=seed, **opnorm_opts)
+        return opnorm(fa, p, seed=seed)
 
     def via_sigma() -> NormEstimate:
         return fpsigma_norm(f, spectral_configuration_of(v), p, seed=seed, n_max=n_max)

@@ -329,14 +329,19 @@ def opnorm(A, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL,
     return NormEstimate(lower, max(upper, lower), w, "boyd+interp")
 
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
-    """Vectorized golden-section maximization of f over per-column [lo, hi]."""
+def golden_max(f, lo, hi, iters: int):
+    """Golden-section maximization over [lo, hi], columnwise for arrays.
+
+    `f(c, d)` returns the values at both interior points of a step, so a
+    caller can evaluate them together; ties keep the left part.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.asarray(lo, dtype=float).copy(), np.asarray(hi, dtype=float).copy()
     for _ in range(iters):
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
-        left = f(c) >= f(d)
+        vc, vd = f(c, d)
+        left = vc >= vd
         b = np.where(left, d, b)
         a = np.where(left, a, c)
     return (a + b) / 2.0
@@ -374,7 +379,8 @@ def opnorm_oracle(A, p, samples: int = 256, seed: int = 0) -> float:
             vals = np.stack([num_at_phase(np.full(samples, t)) for t in phase_grid])
             t0 = phase_grid[np.argmax(vals, axis=0)]
             span = 2.0 * np.pi / len(phase_grid)
-            theta = _golden_max(num_at_phase, t0 - span, t0 + span, 40)
+            theta = golden_max(lambda c, d: (num_at_phase(c), num_at_phase(d)),
+                               t0 - span, t0 + span, 40)
             worse = num_at_phase(theta) < np.max(vals, axis=0)
             theta = np.where(worse, t0, theta)
             phase = np.exp(1j * theta)
@@ -392,7 +398,7 @@ def opnorm_oracle(A, p, samples: int = 256, seed: int = 0) -> float:
             k = np.argmax(vals_r, axis=0)
             r_lo = np.take_along_axis(r_grid, np.maximum(k - 1, 0)[None, :], axis=0)[0]
             r_hi = np.take_along_axis(r_grid, np.minimum(k + 1, 8)[None, :], axis=0)[0]
-            rr = _golden_max(ratio_at_r, r_lo, r_hi, 42)
+            rr = golden_max(lambda c, d: (ratio_at_r(c), ratio_at_r(d)), r_lo, r_hi, 42)
             r_best = np.take_along_axis(r_grid, k[None, :], axis=0)[0]
             worse = ratio_at_r(rr) < np.maximum(np.max(vals_r, axis=0), ratio_at_r(r))
             rr = np.where(worse, np.where(ratio_at_r(r_best) >= ratio_at_r(r), r_best, r), rr)

@@ -14,7 +14,6 @@ irrational inputs stay floats and are compared at 1e-12.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
-from .pnorm import NormEstimate, as_exponent, interpolation_upper
+from .pnorm import NormEstimate, as_exponent, golden_max, interpolation_upper
 from .zline import LaurentPolynomial, fpz_norm, norm_l1, sup_exact
 
 __all__ = [
@@ -75,14 +74,16 @@ def snap_angle(a) -> Angle:
     return a
 
 
-def _mod1(a: Angle) -> Angle:
-    return a % 1 if isinstance(a, Fraction) else float(a) % 1.0
+def _exact_or_float(*xs) -> tuple:
+    """The operands unchanged when all are exact fractions, else as floats."""
+    if all(isinstance(x, Fraction) for x in xs):
+        return xs
+    return tuple(float(x) for x in xs)
 
 
 def _add(a: Angle, b: Angle) -> Angle:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return (a + b) % 1
-    return (float(a) + float(b)) % 1.0
+    a, b = _exact_or_float(a, b)
+    return (a + b) % 1
 
 
 def _circ_dist(a: Angle, b: Angle) -> float:
@@ -94,10 +95,6 @@ def _angle_eq(a: Angle, b: Angle) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
     return _circ_dist(a, b) <= _ANGLE_TOL
-
-
-def _angle_point(a: Angle) -> complex:
-    return cmath.exp(2j * math.pi * float(a))
 
 
 @dataclass(frozen=True)
@@ -119,10 +116,8 @@ class ArcSet:
         raw = []
         for a, b in self.arcs:
             a, b = snap_angle(a), snap_angle(b)
-            if isinstance(a, Fraction) and isinstance(b, Fraction):
-                length = (b - a) % 1
-            else:
-                length = (float(b) - float(a)) % 1.0
+            x, y = _exact_or_float(a, b)
+            length = (y - x) % 1
             if length == 0 or (not isinstance(length, Fraction) and length <= _ANGLE_TOL):
                 pts.append(a)
             else:
@@ -135,13 +130,8 @@ class ArcSet:
                 ps, pln = merged[-1]
                 gap = float(s) - (float(ps) + float(pln))
                 if gap <= _ANGLE_TOL:  # overlap or closed arcs touching
-                    new_end = max(float(ps) + float(pln), float(s) + float(ln))
-                    if (isinstance(ps, Fraction) and isinstance(pln, Fraction)
-                            and isinstance(s, Fraction) and isinstance(ln, Fraction)):
-                        end = max(ps + pln, s + ln)
-                        merged[-1] = (ps, end - ps)
-                    else:
-                        merged[-1] = (ps, new_end - float(ps))
+                    a, b, c, d = _exact_or_float(ps, pln, s, ln)
+                    merged[-1] = (ps, max(a + b, c + d) - a)
                 else:
                     merged.append((s, ln))
             if len(merged) > 1:
@@ -149,13 +139,8 @@ class ArcSet:
                 sl, lnl = merged[-1]
                 wrap = float(sl) + float(lnl) - 1.0
                 if wrap >= float(s0) - _ANGLE_TOL:  # last arc reaches around to the first
-                    if (isinstance(sl, Fraction) and isinstance(lnl, Fraction)
-                            and isinstance(s0, Fraction) and isinstance(ln0, Fraction)):
-                        end = max(sl + lnl, s0 + ln0 + 1)
-                        merged = merged[1:-1] + [(sl, end - sl)]
-                    else:
-                        end = max(float(sl) + float(lnl), float(s0) + float(ln0) + 1.0)
-                        merged = merged[1:-1] + [(sl, end - float(sl))]
+                    a, b, c, d = _exact_or_float(sl, lnl, s0, ln0)
+                    merged = merged[1:-1] + [(sl, max(a + b, c + d + 1) - a)]
             total = sum(float(ln) for _, ln in merged)
             if total >= 1.0 - _ANGLE_TOL or any(float(ln) >= 1.0 - _ANGLE_TOL for _, ln in merged):
                 full = True
@@ -247,19 +232,12 @@ class ArcSet:
         arcs = []
         for s1, l1 in self.arcs:
             for s2, l2 in other.arcs:
-                for shift in (-1.0, 0.0, 1.0):
+                for shift in (-1, 0, 1):
                     lo = max(float(s1), float(s2) + shift)
                     hi = min(float(s1) + float(l1), float(s2) + float(l2) + shift)
                     if hi - lo > _ANGLE_TOL:
-                        exact = (isinstance(s1, Fraction) and isinstance(l1, Fraction)
-                                 and isinstance(s2, Fraction) and isinstance(l2, Fraction))
-                        if exact:
-                            sh = Fraction(int(shift))
-                            lo_e = max(s1, s2 + sh)
-                            hi_e = min(s1 + l1, s2 + l2 + sh)
-                            arcs.append((lo_e, hi_e))
-                        else:
-                            arcs.append((lo, hi))
+                        a, b, c, d = _exact_or_float(s1, l1, s2, l2)
+                        arcs.append((max(a, c + shift), min(a + b, c + d + shift)))
                     elif abs(hi - lo) <= _ANGLE_TOL:
                         pts.append(lo)
         return ArcSet(tuple(pts), tuple(arcs), False)
@@ -499,12 +477,14 @@ def classify(config: SpectralConfiguration, p) -> DichotomyResult:
     return DichotomyResult("continuous", n, isometric_to_sup=(p.is_two or n == 1))
 
 
-def _tuple_at(evaluate: Callable, base: Angle, n: int) -> CyclicElement:
-    if isinstance(base, Fraction):
-        angles = [float((base + Fraction(j, n)) % 1) for j in range(n)]
-    else:
-        angles = [(float(base) + j / n) % 1.0 for j in range(n)]
-    return CyclicElement(n, evaluate(np.array(angles)))
+def _tuples_at(evaluate: Callable, bases, n: int) -> list[CyclicElement]:
+    """The order-n tuples of values at the rotates of each base angle.
+
+    One `evaluate` call takes the angles of all tuples, flattened.
+    """
+    angles = [float((b + Fraction(j, n)) % 1) if isinstance(b, Fraction)
+              else (float(b) + j / n) % 1.0 for b in bases for j in range(n)]
+    return [CyclicElement(n, xi) for xi in evaluate(np.array(angles)).reshape(-1, n)]
 
 
 def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float,
@@ -518,7 +498,7 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
     solved together.
     """
     def norms(angles) -> list[NormEstimate]:
-        return fpzn_norms([_tuple_at(evaluate, a, n) for a in angles], p, seed=seed)
+        return fpzn_norms(_tuples_at(evaluate, angles, n), p, seed=seed)
 
     best = -math.inf
     witness = None
@@ -537,17 +517,9 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
                 best, witness = est.lower, est.witness
         # one golden refinement pass around the best grid angle
         k = int(np.argmax(vals))
-        lo, hi = float(grid[k]) - resolution, float(grid[k]) + resolution
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        for _ in range(30):
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-            vc, vd = (est.lower for est in norms([c, d]))
-            if vc >= vd:
-                hi = d
-            else:
-                lo = c
-        est = norms([(lo + hi) / 2.0])[0]
+        t = golden_max(lambda c, d: [est.lower for est in norms([c, d])],
+                       float(grid[k]) - resolution, float(grid[k]) + resolution, 30)
+        est = norms([t])[0]
         if est.lower > best:
             best, witness = est.lower, est.witness
     return best, witness, exact, point_upper
@@ -651,9 +623,9 @@ def _probe_witness(n: int, relevant_divisors: list[int], p, margin: float,
             d for d in range(1, n) if n % d == 0)]:
         alpha, _ = gap_witness(n, d, p, seed=seed, target_margin=2.0 * margin)
         scale = max(
-            fpzn_norm(restrict(alpha, dd, b), p, seed=seed).upper
+            est.upper
             for dd in (relevant_divisors or [d])
-            for b in range(n // dd)
+            for est in fpzn_norms([restrict(alpha, dd, b) for b in range(n // dd)], p, seed=seed)
         )
         scaled = alpha.xi / scale
         gap = fpzn_norm(CyclicElement(n, scaled), p, seed=seed).lower - 1.0

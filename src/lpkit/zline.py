@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import CyclicElement, fpzn_norm
-from .pnorm import NormEstimate, as_exponent
+from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
+from .pnorm import NormEstimate, as_exponent, golden_max, interpolation_upper
 
 __all__ = [
     "LaurentPolynomial",
@@ -51,10 +51,6 @@ class LaurentPolynomial:
         object.__setattr__(
             self, "terms", tuple(sorted((m, a) for m, a in cleaned.items() if a != 0))
         )
-
-    @classmethod
-    def from_dict(cls, coeffs: dict) -> "LaurentPolynomial":
-        return cls(tuple(coeffs.items()))
 
     @property
     def exponents(self) -> np.ndarray:
@@ -111,18 +107,9 @@ def norm_sup(f: LaurentPolynomial, grid: int = 2048) -> float:
     theta = 2.0 * np.pi * np.arange(grid) / grid
     vals = np.abs(f(np.exp(1j * theta)))
     k = int(np.argmax(vals))
-    lo = theta[k] - 2.0 * np.pi / grid
-    hi = theta[k] + 2.0 * np.pi / grid
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        if abs(f(cmath.exp(1j * c))) >= abs(f(cmath.exp(1j * d))):
-            hi = d
-        else:
-            lo = c
-    mid = cmath.exp(1j * (lo + hi) / 2.0)
-    return max(float(vals[k]), abs(f(mid)))
+    t = golden_max(lambda c, d: (abs(f(cmath.exp(1j * c))), abs(f(cmath.exp(1j * d)))),
+                   theta[k] - 2.0 * np.pi / grid, theta[k] + 2.0 * np.pi / grid, 60)
+    return max(float(vals[k]), abs(f(cmath.exp(1j * t))))
 
 
 def sup_exact(f: LaurentPolynomial) -> tuple[float, complex]:
@@ -218,16 +205,12 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
         return NormEstimate(sup, sup, est.witness, "exact-p2")
 
     pv = p.value
-    if pv < 2.0:
-        upper = l1 ** (2.0 / pv - 1.0) * sup ** (2.0 - 2.0 / pv)
-    else:
-        upper = sup ** (2.0 / pv) * norm_l1(f.reversed()) ** (1.0 - 2.0 / pv)
-
+    upper = interpolation_upper(pv, l1, sup, norm_l1(f.reversed()))
     lower = 0.0
     witness = np.array([1.0 + 0.0j])
     for n in _schedule(n_max):
-        for t in (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak):
-            est = fpzn_norm(f.samples(n, t), pv, seed=seed)
+        bases = (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak)
+        for est in fpzn_norms([f.samples(n, t) for t in bases], pv, seed=seed):
             if est.lower > lower:
                 lower, witness = est.lower, est.witness
         if upper - lower < tol:

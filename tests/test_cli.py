@@ -203,6 +203,16 @@ class TestDeterminism:
         assert rc == EXIT_OK and out == ""
         assert json.loads(target.read_text())["method"] == "exact-p1"
 
+    def test_no_threads_knob(self, files, capsys, monkeypatch):
+        args = ("norm", "isometry", "--p", "3", "--mode", "both", "--in", files["v.json"],
+                "--poly", files["poly.json"], "--seed", "11")
+        monkeypatch.delenv("LPKIT_THREADS", raising=False)
+        _, out1, _ = run(capsys, *args)
+        assert "threads_cap" not in json.loads(out1)["config"]
+        monkeypatch.setenv("LPKIT_THREADS", "7")
+        _, out2, _ = run(capsys, *args)
+        assert out1 == out2
+
     def test_dumps_17_digits(self):
         s = dumps({"x": 1 / 3, "y": [True, None, 7]})
         assert s == '{"x":0.33333333333333331,"y":[true,null,7]}'

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from lpkit.pnorm import NormEstimate, PExponent, as_exponent, opnorm, opnorm_oracle, pnorm
+from lpkit.pnorm import (
+    NormEstimate,
+    PExponent,
+    as_exponent,
+    golden_max,
+    opnorm,
+    opnorm_oracle,
+    pnorm,
+)
 
 from conftest import random_laurent
 
@@ -150,6 +158,31 @@ class TestProperties:
         assert e1.lower == e2.lower and e1.upper == e2.upper
         assert np.array_equal(e1.witness, e2.witness)
         assert opnorm_oracle(A, 2.7, samples=8, seed=5) == opnorm_oracle(A, 2.7, samples=8, seed=5)
+
+
+class TestGoldenMax:
+    @staticmethod
+    def counted(g):
+        calls = []
+
+        def f(c, d):
+            calls.append((c, d))
+            return g(c), g(d)
+
+        return f, calls
+
+    def test_scalar(self):
+        f, calls = self.counted(lambda t: -(t - 0.3) ** 2)
+        t = golden_max(f, 0.0, 1.0, 40)
+        assert len(calls) == 40
+        assert t == pytest.approx(0.3, abs=1e-7)
+
+    def test_columnwise(self):
+        peaks = np.array([-1.0, 0.25, 2.0])
+        f, calls = self.counted(lambda t: np.cos(t - peaks))
+        t = golden_max(f, peaks - 1.0, peaks + 0.5, 50)
+        assert len(calls) == 50 and all(c.shape == (3,) for c, _ in calls)
+        assert np.allclose(t, peaks, atol=1e-8)
 
 
 class TestStallRule:
