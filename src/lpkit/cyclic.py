@@ -111,20 +111,18 @@ def circulant_of(x: CyclicElement) -> np.ndarray:
 def _circulant_matmats(fhat: np.ndarray):
     """Column-block products by stacked circulants, via FFT.
 
-    Column g of `fhat` is the FFT symbol of circulant g.  A block holds equal
-    group-major runs of columns, one run per selected circulant;
-    `select(live)` selects the circulants `live` (all of them at first).
+    Column g of `fhat` is the FFT symbol of circulant g.  After `select(c)`,
+    column j of a block is multiplied by circulant c[j] (before any call, by
+    circulant j).
     """
-    sym = [fhat[:, :, None], np.conj(fhat)[:, :, None]]  # broadcast over each run
+    sym = [fhat, np.conj(fhat)]
 
-    def select(live) -> None:
-        sym[0] = fhat[:, live, None]
+    def select(circulants) -> None:
+        sym[0] = np.take(fhat, circulants, axis=1)
         sym[1] = np.conj(sym[0])
 
     def apply(V: np.ndarray, F: np.ndarray) -> np.ndarray:
-        n, m = V.shape
-        return np.fft.ifft((np.fft.fft(V, axis=0).reshape(n, F.shape[1], -1) * F).reshape(n, m),
-                           axis=0)
+        return np.fft.ifft(np.fft.fft(V, axis=0) * F, axis=0)
 
     return (lambda V: apply(V, sym[0])), (lambda V: apply(V, sym[1])), select
 

@@ -200,9 +200,17 @@ def default_starts(n: int, restarts: int, seed: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
+def _narrow(running, settled) -> np.ndarray:
+    """boyd_lower's next block columns: the unsettled ones flagged `running`.  A lone
+    column is kept twice: numpy sums a one-column block pairwise, a wider one row
+    by row, and the order decides the roundoff."""
+    cols = np.flatnonzero(running & ~settled)
+    return cols.repeat(2) if cols.size == 1 else cols
+
+
 def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
                tol: float = _CONVERGENCE_TOL, max_iter: int = 10_000, *,
-               groups: int = 1, select=None) -> list[tuple[float, np.ndarray]]:
+               groups: int = 1, select=lambda groups: None) -> list[tuple[float, np.ndarray]]:
     """Monotone lower bound on an operator p-norm by Boyd's ascent.
 
     `matmat`/`rmatmat` apply A and A^H to column blocks.  Each column of
@@ -216,16 +224,18 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     slow column below it is on course to overtake it.  The stop reason
     (settled, stalled or max_iter) is logged at DEBUG.
 
+    A column that settles (step test or duality certificate) would only
+    repeat its value, so it leaves the working block (see _narrow); best
+    values and best X stay in start-column order, so no witness depends on it.
+
     Independent problems of one size run side by side as groups: `starts`
-    holds `groups` equal group-major column blocks, one per operator, and
-    `matmat`/`rmatmat` apply each group's operator to its own block.  Each
-    group stops on its own rule, exactly as it would alone.  A group that
-    stops is frozen: its result is recorded and its columns leave the
-    block, after `select(live)` has narrowed the operators to the groups
-    still running (indices into the groups; `select` may be None for one
-    group).  Returns, per group, the best value found and its witness
-    column (unit p-norm), re-evaluated at the end in one block of one
-    column per group, after `select(range(groups))`.
+    holds `groups` equal group-major column blocks, one per operator.  Each
+    group stops on its own rule, exactly as it would alone, and leaves the
+    block.  Whenever the block changes, `select(g)` names the group
+    (operator) of each of its columns, which `matmat`/`rmatmat` then apply
+    (one group needs no `select`).  Returns, per group, the best value
+    found and its witness column (unit p-norm), re-evaluated at the end in
+    one block of one column per group, after `select(range(groups))`.
     """
     q = p / (p - 1.0)
     X = starts.astype(complex, copy=True)
@@ -234,49 +244,60 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     k = X.shape[1] // groups
     best_val = np.zeros(X.shape[1])
     best_X = X.copy()
+    cols = np.arange(X.shape[1])  # start column of each working column
+    runs = np.arange(0, X.shape[1], k)  # where each running group's columns begin
     prev = np.zeros(X.shape[1])
-    settled = np.zeros(X.shape[1], dtype=bool)
     stall = np.zeros(groups, dtype=int)
     live = np.arange(groups)  # the running groups, in block order
     witnesses = [None] * groups
+    select(cols // k)
 
-    def freeze(slots, reason: str, it: int) -> None:
-        for i in slots:
+    def freeze(slots, reason: str) -> None:
+        for i in live[slots]:
             j = i * k + int(np.argmax(best_val[i * k:(i + 1) * k]))
             w = best_X[:, j]
-            witnesses[live[i]] = w / pnorm(w, p)
+            witnesses[i] = w / pnorm(w, p)
             _log.debug("boyd_lower stopped (%s) after %d iterations, n=%d, %d columns",
                        reason, it, X.shape[0], k)
+
+    def retire(stalled, settled, *blocks):
+        """Stop stalled and fully settled groups; drop them and settled columns."""
+        nonlocal cols, runs, stall, live
+        empty = np.logical_and.reduceat(settled, runs)
+        stop = empty | stalled
+        running = np.ones_like(settled)
+        if stop.any():
+            freeze(empty, "settled")
+            freeze(stalled & ~empty, "stalled")
+            running = np.repeat(~stop, np.diff(runs, append=settled.size))
+            stall, live = stall[~stop], live[~stop]
+        keep = _narrow(running, settled)
+        cols = cols[keep]
+        group = cols // k
+        runs = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+        select(group)
+        # take keeps the blocks C-ordered, where fancy indexing may not;
+        # pnorm's column sums follow the memory order, so it decides their roundoff
+        return [np.take(B, keep, axis=-1) for B in blocks]
 
     it = 0
     for it in range(1, max_iter + 1):
         Y = matmat(X)
         g = pnorm(Y, p, axis=0)
-        improved = g > best_val
-        best_val = np.where(improved, g, best_val)
-        best_X[:, improved] = X[:, improved]
+        improved = g > best_val[cols]
+        best_val[cols[improved]] = g[improved]
+        best_X[:, cols[improved]] = X[:, improved]
         step = g - prev
-        settled |= np.abs(step) <= tol * np.maximum(g, 1e-300)
+        settled = np.abs(step) <= tol * np.maximum(g, 1e-300)
         # stagnant: no column, at its current pace, would pass its group's best
         # value within two stall windows (one that just raised it by more than tol would)
-        lead = (g + 2 * _STALL_ITERS * step).reshape(-1, k).max(axis=1)
-        stall = np.where(lead > best_val.reshape(-1, k).max(axis=1) * (1.0 + tol), 0, stall + 1)
-        all_settled = settled.reshape(-1, k).all(axis=1)
-        done = all_settled | (stall >= _STALL_ITERS)
-        if done.any():
-            freeze(np.flatnonzero(all_settled), "settled", it)
-            freeze(np.flatnonzero(done & ~all_settled), "stalled", it)
-            if done.all():
+        lead = np.maximum.reduceat(g + 2 * _STALL_ITERS * step, runs)
+        stall = np.where(lead > best_val.reshape(-1, k)[live].max(1) * (1 + tol), 0, stall + 1)
+        stalled = stall >= _STALL_ITERS
+        if settled.any() or stalled.any():
+            X, Y, g, settled = retire(stalled, settled, X, Y, g, settled)
+            if not live.size:
                 break
-            keep = ~done
-            cols = np.repeat(keep, k)
-            # compress keeps the blocks C-ordered, where a boolean column index
-            # returns them Fortran-ordered; pnorm's column sums follow the memory
-            # order, so the order decides their roundoff
-            X, Y, best_X = (np.compress(cols, B, axis=1) for B in (X, Y, best_X))
-            g, best_val, settled = g[cols], best_val[cols], settled[cols]
-            stall, live = stall[keep], live[keep]
-            select(live)
         prev = g
         yn = Y / np.where(g > 0.0, g, 1.0)
         Z = rmatmat(_dual_vector(yn, p))
@@ -286,13 +307,16 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
         settled |= zn <= np.real(np.sum(np.conj(Z) * X, axis=0)) * (1.0 + 10.0 * tol)
         W = _dual_vector(Z / np.where(zn > 0.0, zn, 1.0), q)
         wn = pnorm(W, p, axis=0)
-        # degenerate columns (A x = 0 or A^H psi = 0) stay where they are
+        # degenerate columns (A x = 0 or A^H psi = 0) stay put; the step test settles them
         active = (g > 0.0) & (zn > 0.0) & (wn > 0.0) & ~settled
         X = np.where(active, W / np.where(wn > 0.0, wn, 1.0), X)
+        if settled.any():
+            X, prev = retire(np.zeros_like(stall, dtype=bool), settled, X, prev)
+            if not live.size:
+                break
     else:
-        freeze(range(len(live)), "max_iter", it)
-    if select is not None:
-        select(np.arange(groups))
+        freeze(slice(None), "max_iter")
+    select(np.arange(groups))
     Y = matmat(np.stack(witnesses, axis=1))
     return [(float(pnorm(Y[:, [i]], p, axis=0)[0]), w) for i, w in enumerate(witnesses)]
 

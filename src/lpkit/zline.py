@@ -29,6 +29,7 @@ __all__ = [
     "LaurentPolynomial",
     "cyclic_lower",
     "fpz_norm",
+    "fpz_upper",
     "norm_l1",
     "norm_sup",
 ]
@@ -175,15 +176,26 @@ def _schedule(n_max: int) -> list[int]:
     return sorted(out)
 
 
+def fpz_upper(f: LaurentPolynomial, p) -> float:
+    """fpz_norm's certified upper bound (0 for f = 0): ell^1 at p = 1, the sup at
+    p = 2, else Riesz-Thorin between those and ell^1 of the reversal (p = inf)."""
+    p = as_exponent(p)
+    if p.is_one:
+        return norm_l1(f)
+    sup = sup_exact(f)[0]
+    if p.is_two:
+        return sup
+    return interpolation_upper(p.value, norm_l1(f), sup, norm_l1(f.reversed()))
+
+
 def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
              seed: int = 0) -> NormEstimate:
     """Certified bracket for the convolution norm of f on ell^p(Z).
 
     p = 1 and p = 2 collapse to the exact ell^1 and sup values.  Otherwise
     the lower bound sweeps cyclic samples over n in {2^k, 3*2^k} up to n_max
-    at base points {1, w_{2n}, argmax |f|}, and the upper bound interpolates
-    between the certified endpoint norms; the sweep stops early once the
-    bracket is tighter than tol.
+    at base points {1, w_{2n}, argmax |f|}, and the upper bound is fpz_upper;
+    the sweep stops early once the bracket is tighter than tol.
     """
     p = as_exponent(p)
     if tol <= 0:
@@ -191,26 +203,21 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     if not f.terms:
         return NormEstimate(0.0, 0.0, np.array([1.0 + 0.0j]), "exact-p1")
 
-    l1 = norm_l1(f)
-    sup, peak = sup_exact(f)
-
+    upper = fpz_upper(f, p)
     if p.is_one:
-        n = f.span + 1
-        est = fpzn_norm(f.samples(n), 1.0)
-        return NormEstimate(l1, l1, est.witness, "exact-p1")
+        est = fpzn_norm(f.samples(f.span + 1), 1.0)
+        return NormEstimate(upper, upper, est.witness, "exact-p1")
 
+    peak = sup_exact(f)[1]
     if p.is_two:
-        x = f.samples(max(f.span, 1), peak)
-        est = fpzn_norm(x, 2.0)
-        return NormEstimate(sup, sup, est.witness, "exact-p2")
+        est = fpzn_norm(f.samples(max(f.span, 1), peak), 2.0)
+        return NormEstimate(upper, upper, est.witness, "exact-p2")
 
-    pv = p.value
-    upper = interpolation_upper(pv, l1, sup, norm_l1(f.reversed()))
     lower = 0.0
     witness = np.array([1.0 + 0.0j])
     for n in _schedule(n_max):
         bases = (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak)
-        for est in fpzn_norms([f.samples(n, t) for t in bases], pv, seed=seed):
+        for est in fpzn_norms([f.samples(n, t) for t in bases], p.value, seed=seed):
             if est.lower > lower:
                 lower, witness = est.lower, est.witness
         if upper - lower < tol:

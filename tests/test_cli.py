@@ -4,6 +4,7 @@ import math
 import pytest
 
 from lpkit.cli import EXIT_EMPTY_MEET, EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, dumps, main
+from lpkit.zline import LaurentPolynomial, fpz_upper
 
 
 @pytest.fixture
@@ -171,6 +172,25 @@ class TestSweep:
         lows = [float(row.split(",")[2]) for row in lines[1:]]
         assert all(a <= b + 1e-9 for a, b in zip(lows, lows[1:]))
         assert lows[-1] == pytest.approx(2.0, rel=1e-12)
+
+    def test_n_grid_runs_no_fpz_ascent(self, files, capsys, monkeypatch):
+        import lpkit.cli as cli
+
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("the n-grid sweep needs only the upper bound")
+
+        monkeypatch.setattr(cli, "fpz_norm", no_ascent)
+        poly = LaurentPolynomial(((0, 1.0), (1, 1.0)))  # poly.json
+        rc, out, _ = run(capsys, "sweep", "--kind", "z", "--in", files["poly.json"],
+                         "--n-grid", "2,4", "--p", "1.5", "--seed", "0")
+        assert rc == EXIT_OK
+        uppers = {float(row.split(",")[3]) for row in out.strip().splitlines()[1:]}
+        assert uppers == {fpz_upper(poly, 1.5)}
+
+    def test_n_grid_bad_tol(self, files, capsys):
+        rc, _, _ = run(capsys, "sweep", "--kind", "z", "--in", files["poly.json"],
+                       "--n-grid", "2,4", "--p", "1.5", "--tol", "0", "--seed", "0")
+        assert rc == EXIT_PRECONDITION
 
     def test_empty_grid(self, files, capsys):
         rc, _, _ = run(capsys, "sweep", "--kind", "zn", "--in", files["xi.json"],

@@ -147,7 +147,7 @@ class TestFpznNorms:
         monkeypatch.setattr(cyclic, "boyd_lower", counting)
         return blocks
 
-    @pytest.mark.parametrize("n", [1, 5, 16, 40])
+    @pytest.mark.parametrize("n", [1, 5, 8, 16, 40, 96])
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
     def test_batches_match_single_calls(self, rng, monkeypatch, n, p):
         import lpkit.cyclic as cyclic

@@ -237,3 +237,70 @@ class TestStallRule:
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         opnorm(A, 1.5, seed=0, max_iter=3)
         assert capsys.readouterr() == ("", "")
+
+
+class TestCompaction:
+    """Settled columns leave boyd_lower's working block without a trace."""
+
+    @staticmethod
+    def _keep_settled(patch):
+        import lpkit.pnorm as pnorm_mod
+
+        # the narrowing step as a no-op: settled columns stay in the block,
+        # where they only repeat their values
+        patch.setattr(pnorm_mod, "_narrow", lambda running, settled: np.flatnonzero(running))
+
+    @staticmethod
+    def _solve(monkeypatch, xs, p, keep_settled, seed=2):
+        """fpzn_norms(xs, p) and the widths of the blocks its matmat calls take."""
+        import lpkit.cyclic as cyclic
+
+        widths = []
+        real = cyclic.boyd_lower
+
+        def counting_boyd(matmat, rmatmat, starts, p, **kwargs):
+            def counted(X):
+                widths.append(X.shape[1])
+                return matmat(X)
+
+            return real(counted, rmatmat, starts, p, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cyclic, "boyd_lower", counting_boyd)
+            if keep_settled:
+                TestCompaction._keep_settled(patch)
+            ests = cyclic.fpzn_norms(xs, p, seed=seed)
+        return ests, widths
+
+    @staticmethod
+    def _assert_same(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert a.lower == b.lower and a.upper == b.upper
+            assert np.array_equal(a.witness, b.witness)
+
+    @pytest.mark.parametrize("n", [1, 5, 8, 16, 40, 96])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_brackets_and_witnesses_unchanged(self, rng, monkeypatch, n, p):
+        xs = [random_laurent(rng, span=5).samples(n) for _ in range(7)]
+        for batch in (xs[:1], xs):
+            got, _ = self._solve(monkeypatch, batch, p, keep_settled=False)
+            want, _ = self._solve(monkeypatch, batch, p, keep_settled=True)
+            self._assert_same(got, want)
+
+    @pytest.mark.parametrize("draw, n, p", [(4, 16, 1.25), (8, 12, 1.5), (13, 48, 1.5)])
+    def test_lone_column_keeps_its_roundoff(self, monkeypatch, draw, n, p):
+        # these ascents end on one working column; summed alone, as a
+        # one-column block, it would end 1 ulp away from the kept-settled run
+        rng = np.random.default_rng(draw)
+        xs = [random_laurent(rng, span=int(rng.integers(2, 9))).samples(n)]
+        got, widths = self._solve(monkeypatch, xs, p, keep_settled=False, seed=1)
+        want, _ = self._solve(monkeypatch, xs, p, keep_settled=True, seed=1)
+        assert min(widths[:-1]) == 2  # the ascent reached the floor (the last call is the witness)
+        self._assert_same(got, want)
+
+    def test_fewer_matmat_columns(self, rng, monkeypatch):
+        xs = [random_laurent(rng, span=5).samples(96)]
+        (got,), narrowed = self._solve(monkeypatch, xs, 1.5, keep_settled=False)
+        (want,), kept = self._solve(monkeypatch, xs, 1.5, keep_settled=True)
+        assert got.lower == want.lower
+        assert sum(narrowed) <= 0.75 * sum(kept)

@@ -6,6 +6,7 @@ from lpkit.zline import (
     LaurentPolynomial,
     cyclic_lower,
     fpz_norm,
+    fpz_upper,
     norm_l1,
     norm_sup,
     sup_exact,
@@ -149,3 +150,12 @@ class TestFpzNorm:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             fpz_norm(poly((0, 1)), 1.5, tol=0.0)
+
+    def test_upper_is_fpz_upper(self, rng):
+        for f in [random_laurent(rng, span=s) for s in (1, 3, 6)] + [poly()]:
+            for p in (1.0, 1.5, 2.0, 3.0):
+                est = fpz_norm(f, p, n_max=4)
+                # fpz_norm still lifts an upper bound that roundoff left below
+                # its lower bound (1 ulp on the span-1 draw here)
+                assert est.upper == max(fpz_upper(f, p), est.lower)
+        assert fpz_upper(poly(), 1.5) == 0.0
