@@ -145,11 +145,16 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = 1e-10,
 
 
 def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10,
-               max_iter: int = 10_000, seed: int = 0) -> list[NormEstimate]:
+               max_iter: int = 10_000, seed: int = 0,
+               incumbent: float = 0.0) -> list[NormEstimate]:
     """fpzn_norm of each of several elements of one order, solved together.
 
     Every element gets the bracket it gets alone, bit for bit; the Boyd
     ascents run as groups of one block, at most _CHUNK_COLUMNS columns each.
+    `incumbent` is a lower bound the caller already holds (see boyd_lower):
+    an ascent that is not on pace to pass it stops early, so with an
+    incumbent above 0 an element's own lower bound may fall below what it
+    gets alone.  Only the maximum over the call and the incumbent is meant.
     """
     p = as_exponent(p)
     xs = list(xs)
@@ -193,7 +198,8 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10,
         fhat = np.stack([np.fft.fft(c) for c in coeffs[block]], axis=1)
         matmat, rmatmat, select = _circulant_matmats(fhat)
         found = boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), pv,
-                           tol=tol, max_iter=max_iter, groups=fhat.shape[1], select=select)
+                           tol=tol, max_iter=max_iter, groups=fhat.shape[1], select=select,
+                           incumbent=incumbent)
         for x, c, (lower, w) in zip(xs[block], coeffs[block], found):
             n1 = float(np.sum(np.abs(c)))
             n2 = float(np.max(np.abs(x.xi)))

@@ -32,6 +32,7 @@ __all__ = [
 _CONVERGENCE_TOL = 1e-10
 # stagnant iterations after which boyd_lower stops (defined in its docstring)
 _STALL_ITERS = 50
+_TINY = np.finfo(float).tiny
 
 _log = logging.getLogger(__name__)
 
@@ -138,17 +139,6 @@ def pnorm(x: np.ndarray, p: float, axis=None):
     return m * s
 
 
-def _dual_vector(y: np.ndarray, p: float) -> np.ndarray:
-    """Duality map psi_p(y)_i = |y_i|^{p-1} sign(y_i), columnwise normalized input.
-
-    The complex signum y/|y| takes 0 -> 0; magnitudes below the normal
-    floating range count as zero so the division cannot overflow on denormals.
-    """
-    a = np.abs(y)
-    live = a > 1e-300
-    return a ** (p - 1.0) * np.where(live, y / np.where(live, a, 1.0), 0.0)
-
-
 def _norm1(A: np.ndarray) -> tuple[float, int]:
     sums = np.sum(np.abs(A), axis=0)
     j = int(np.argmax(sums))
@@ -200,6 +190,27 @@ def default_starts(n: int, restarts: int, seed: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
+def _norm_and_dual(Y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column t-norms of a block Y and the duality map psi_t(y / ||y||_t) of each
+    column, psi_t(v)_i = |v_i|^{t-1} sign(v_i), from one modulus and one power.
+
+    With m = max|y| and r = |y| / m, ||y||_t = m s^(1/t) for s = sum r^t, and
+    psi_t(y / ||y||_t) = (y / m) r^(t-2) s^(1/t - 1).  Entries with r <= 1e-300
+    count as zero; every factor is relative to the column's own max, so no
+    threshold depends on the scale of y.  The column max is floored at the
+    smallest normal float, which only matters for an all-denormal column.
+    """
+    a = np.abs(Y)
+    m = np.maximum(np.max(a, axis=0), _TINY)
+    r = a * (1.0 / m)
+    rt = r ** (t - 1.0)
+    s = np.sum(rt * r, axis=0)
+    # scale y to at most 1 first: a factor 1 / |y_i| alone overflows on denormal y_i
+    V = Y * (1.0 / np.maximum(m * s ** (1.0 - 1.0 / t), _TINY))
+    V *= np.divide(rt, r, out=np.zeros_like(r), where=r > 1e-300)
+    return m * s ** (1.0 / t), V
+
+
 def _narrow(running, settled) -> np.ndarray:
     """boyd_lower's next block columns: the unsettled ones flagged `running`.  A lone
     column is kept twice: numpy sums a one-column block pairwise, a wider one row
@@ -210,7 +221,8 @@ def _narrow(running, settled) -> np.ndarray:
 
 def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
                tol: float = _CONVERGENCE_TOL, max_iter: int = 10_000, *,
-               groups: int = 1, select=lambda groups: None) -> list[tuple[float, np.ndarray]]:
+               groups: int = 1, select=lambda groups: None,
+               incumbent: float = 0.0) -> list[tuple[float, np.ndarray]]:
     """Monotone lower bound on an operator p-norm by Boyd's ascent.
 
     `matmat`/`rmatmat` apply A and A^H to column blocks.  Each column of
@@ -221,8 +233,18 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     An iteration counts as stagnant when no column, climbing at its current
     pace, would pass the best value by more than tol relatively within
     2 * _STALL_ITERS iterations; so the best value did not rise, and no
-    slow column below it is on course to overtake it.  The stop reason
-    (settled, stalled or max_iter) is logged at DEBUG.
+    slow column below it is on course to overtake it.  A caller that already
+    holds a lower bound may pass it as `incumbent`: a group then also counts
+    as stagnant while no column is on pace to pass max(its best, incumbent),
+    so a group that cannot raise the caller's bound stops early, and the
+    value it returns may fall short of what it reaches alone.  The stop
+    reason (settled, stalled or max_iter) is logged at DEBUG.
+
+    Each half-step takes one modulus and one power per block entry (see
+    _norm_and_dual): Y = A X gives ||Y||_p and psi_p(Y / ||Y||_p), Z = A^H of
+    that gives ||Z||_q and the next X = psi_q(Z / ||Z||_q), q = p / (p - 1).
+    That X needs no renormalization: ||psi_q(z / ||z||_q)||_p = 1, because
+    (q - 1) p = q.
 
     A column that settles (step test or duality certificate) would only
     repeat its value, so it leaves the working block (see _narrow); best
@@ -277,39 +299,36 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
         runs = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
         select(group)
         # take keeps the blocks C-ordered, where fancy indexing may not;
-        # pnorm's column sums follow the memory order, so it decides their roundoff
+        # the column sums of _norm_and_dual follow the memory order, so it decides their roundoff
         return [np.take(B, keep, axis=-1) for B in blocks]
 
     it = 0
     for it in range(1, max_iter + 1):
-        Y = matmat(X)
-        g = pnorm(Y, p, axis=0)
+        g, V = _norm_and_dual(matmat(X), p)
         improved = g > best_val[cols]
         best_val[cols[improved]] = g[improved]
         best_X[:, cols[improved]] = X[:, improved]
         step = g - prev
         settled = np.abs(step) <= tol * np.maximum(g, 1e-300)
         # stagnant: no column, at its current pace, would pass its group's best
-        # value within two stall windows (one that just raised it by more than tol would)
+        # value or the incumbent within two stall windows (one that just raised
+        # the best value by more than tol would)
         lead = np.maximum.reduceat(g + 2 * _STALL_ITERS * step, runs)
-        stall = np.where(lead > best_val.reshape(-1, k)[live].max(1) * (1 + tol), 0, stall + 1)
+        floor = np.maximum(best_val.reshape(-1, k)[live].max(1), incumbent)
+        stall = np.where(lead > floor * (1 + tol), 0, stall + 1)
         stalled = stall >= _STALL_ITERS
         if settled.any() or stalled.any():
-            X, Y, g, settled = retire(stalled, settled, X, Y, g, settled)
+            X, V, g, settled = retire(stalled, settled, X, V, g, settled)
             if not live.size:
                 break
         prev = g
-        yn = Y / np.where(g > 0.0, g, 1.0)
-        Z = rmatmat(_dual_vector(yn, p))
-        zn = pnorm(Z, q, axis=0)
+        Z = rmatmat(V)
+        zn, W = _norm_and_dual(Z, q)
         # duality certificate: ||z||_q <= Re<z, x> marks a stationary point,
         # where the estimate can no longer improve
         settled |= zn <= np.real(np.sum(np.conj(Z) * X, axis=0)) * (1.0 + 10.0 * tol)
-        W = _dual_vector(Z / np.where(zn > 0.0, zn, 1.0), q)
-        wn = pnorm(W, p, axis=0)
-        # degenerate columns (A x = 0 or A^H psi = 0) stay put; the step test settles them
-        active = (g > 0.0) & (zn > 0.0) & (wn > 0.0) & ~settled
-        X = np.where(active, W / np.where(wn > 0.0, wn, 1.0), X)
+        # degenerate columns (A^H psi = 0, as when A x = 0) stay put; the step test settles them
+        X = np.where((zn > 0.0) & ~settled, W, X)
         if settled.any():
             X, prev = retire(np.zeros_like(stall, dtype=bool), settled, X, prev)
             if not live.size:

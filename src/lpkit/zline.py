@@ -195,7 +195,9 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     p = 1 and p = 2 collapse to the exact ell^1 and sup values.  Otherwise
     the lower bound sweeps cyclic samples over n in {2^k, 3*2^k} up to n_max
     at base points {1, w_{2n}, argmax |f|}, and the upper bound is fpz_upper;
-    the sweep stops early once the bracket is tighter than tol.
+    the sweep stops early once the bracket is tighter than tol.  Each ascent
+    gets the lower bound held so far as its incumbent, so one that cannot
+    raise it stops early.
     """
     p = as_exponent(p)
     if tol <= 0:
@@ -217,7 +219,8 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     witness = np.array([1.0 + 0.0j])
     for n in _schedule(n_max):
         bases = (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak)
-        for est in fpzn_norms([f.samples(n, t) for t in bases], p.value, seed=seed):
+        for est in fpzn_norms([f.samples(n, t) for t in bases], p.value, seed=seed,
+                              incumbent=lower):
             if est.lower > lower:
                 lower, witness = est.lower, est.witness
         if upper - lower < tol:

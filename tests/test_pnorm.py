@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from lpkit.cyclic import circulant_of
 from lpkit.pnorm import (
     NormEstimate,
     PExponent,
     as_exponent,
+    boyd_lower,
     golden_max,
     opnorm,
     opnorm_oracle,
@@ -125,6 +127,16 @@ class TestProperties:
         scaled = opnorm((2.5 - 1.5j) * A, 1.7, seed=3)
         assert scaled.lower == pytest.approx(abs(2.5 - 1.5j) * base.lower, rel=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150])
+    @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 3.0, 50.0])
+    def test_scale_invariance(self, rng, scale, p):
+        # the ascent's zero thresholds are relative to each column's max, so
+        # no entry of a tiny or huge operator counts as zero for its scale
+        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        A[:, 2] = 0.0
+        base = opnorm(A, p, seed=1).lower
+        assert opnorm(scale * A, p, seed=1).lower / scale == pytest.approx(base, rel=1e-12)
+
     def test_transpose_duality(self, rng):
         for k in range(10):
             n = int(rng.integers(2, 9))
@@ -158,6 +170,52 @@ class TestProperties:
         assert e1.lower == e2.lower and e1.upper == e2.upper
         assert np.array_equal(e1.witness, e2.witness)
         assert opnorm_oracle(A, 2.7, samples=8, seed=5) == opnorm_oracle(A, 2.7, samples=8, seed=5)
+
+
+def _textbook_boyd(A, starts, p, iters):
+    """Best value of Boyd's ascent as first written: pnorm, the duality map
+    spelled out, W renormalized, every column iterated, no stop rule."""
+    q = p / (p - 1.0)
+
+    def psi(v, t):
+        a = np.abs(v)
+        return a ** (t - 1.0) * np.where(a > 0.0, v / np.where(a > 0.0, a, 1.0), 0.0)
+
+    X = starts / pnorm(starts, p, axis=0)
+    best = 0.0
+    for _ in range(iters):
+        Y = A @ X
+        g = pnorm(Y, p, axis=0)
+        best = max(best, float(g.max()))
+        Z = A.conj().T @ psi(Y / g, p)
+        W = psi(Z / pnorm(Z, q, axis=0), q)
+        X = W / pnorm(W, p, axis=0)
+    return best
+
+
+class TestTextbookBoyd:
+    """boyd_lower's fused half-steps track the ascent as first written."""
+
+    @staticmethod
+    def _check(A, p, rng):
+        # random starts only: basis and DFT starts of a circulant sit on unstable
+        # fixed points, which the textbook loop leaves on roundoff alone
+        n = A.shape[0]
+        starts = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+        for k in (1, 2, 5, 20):
+            [(value, _)] = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p,
+                                      tol=0.0, max_iter=k)
+            assert value == pytest.approx(_textbook_boyd(A, starts, p, k), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+    def test_dense(self, rng, p):
+        for _ in range(3):
+            self._check(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), p, rng)
+
+    @pytest.mark.parametrize("n", [5, 16, 96])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+    def test_circulant(self, rng, n, p):
+        self._check(circulant_of(random_laurent(rng, span=5).samples(n)), p, rng)
 
 
 class TestGoldenMax:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import lpkit.cyclic as cyclic
+import lpkit.zline as zline
 from lpkit.pnorm import PExponent
 from lpkit.zline import (
     LaurentPolynomial,
@@ -159,3 +161,44 @@ class TestFpzNorm:
                 # its lower bound (1 ulp on the span-1 draw here)
                 assert est.upper == max(fpz_upper(f, p), est.lower)
         assert fpz_upper(poly(), 1.5) == 0.0
+
+
+class TestIncumbent:
+    """fpz_norm's ascents stop once they cannot raise the lower bound it holds."""
+
+    @staticmethod
+    def _solve(monkeypatch, f, with_incumbent):
+        """fpz_norm(f, 1.5, n_max=96) and the columns its ascents multiply by."""
+        cols = [0]
+        real_boyd, real_norms = cyclic.boyd_lower, zline.fpzn_norms
+
+        def counting_boyd(matmat, rmatmat, starts, p, **kwargs):
+            def counted(X):
+                cols[0] += X.shape[1]
+                return matmat(X)
+
+            return real_boyd(counted, rmatmat, starts, p, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cyclic, "boyd_lower", counting_boyd)
+            if not with_incumbent:
+                patch.setattr(zline, "fpzn_norms",
+                              lambda xs, p, **kw: real_norms(xs, p, **{**kw, "incumbent": 0.0}))
+            est = fpz_norm(f, 1.5, n_max=96)
+        return est, cols[0]
+
+    def test_same_bracket_fewer_columns(self, rng, monkeypatch):
+        f = random_laurent(rng, span=5)
+        got, got_cols = self._solve(monkeypatch, f, with_incumbent=True)
+        want, want_cols = self._solve(monkeypatch, f, with_incumbent=False)
+        assert got.lower == want.lower and got.upper == want.upper
+        assert np.array_equal(got.witness, want.witness)
+        assert got_cols < want_cols
+
+    def test_zero_incumbent_is_the_default(self, rng):
+        f = random_laurent(rng, span=5)
+        xs = [f.samples(48, t) for t in (1.0, np.exp(0.3j))]
+        for a, b in zip(cyclic.fpzn_norms(xs, 1.5), cyclic.fpzn_norms(xs, 1.5, incumbent=0.0),
+                        strict=True):
+            assert a.lower == b.lower and a.upper == b.upper
+            assert np.array_equal(a.witness, b.witness)
