@@ -136,7 +136,8 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = 1e-10,
               max_iter: int = 10_000, seed: int = 0) -> NormEstimate:
     """Norm of a cyclic-algebra element as an operator on ell^p_n.
 
-    Exact at p = 1 (column sum) and p = 2 (sup of |xi|).  Otherwise the
+    Exact at p = 1 (column sum), at p = 2 (sup of |xi|) and at order n = 1
+    (|xi_0|, with the method string of the ascent path).  Otherwise the
     bracket comes from Boyd ascent (always seeded with the circulant's
     eigenvectors, so the lower bound dominates max |xi|) and Riesz-Thorin
     interpolation of the exact endpoint norms.
@@ -178,6 +179,12 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10,
             out.append(NormEstimate(float(np.abs(x.xi[j])), float(np.abs(x.xi[j])),
                                     _eigenvector(n, j), "exact-p2"))
         return out
+
+    if n == 1:
+        # a 1x1 circulant multiplies by xi_0, so its norm is |xi_0| at every p;
+        # numpy's modulus, as at p = 2 (Python's abs() can differ in the last bit)
+        vals = [float(np.abs(x.xi[0])) for x in xs]
+        return [NormEstimate(val, val, np.ones(1, dtype=complex), "boyd+interp") for val in vals]
 
     pv = p.value
     if n <= 32:

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
-from .pnorm import NormEstimate, as_exponent, golden_max, interpolation_upper
+from .pnorm import NormEstimate, as_exponent, interpolation_upper
 from .zline import LaurentPolynomial, fpz_norm, norm_l1, sup_exact
 
 __all__ = [
@@ -47,6 +47,12 @@ _SNAP_TOL = 1e-12
 # comparisons tolerate a few snap steps' worth of drift
 _ANGLE_TOL = 5e-12
 _SNAP_DENOMINATOR = 10**6
+# an arc slot's refinement: each step solves _SECTIONS equally spaced
+# angles together and keeps two spacings around the best one, a factor
+# 2 / (_SECTIONS + 1) per step; (2/9)^10 = 2.9e-7 <= phi^-30 = 5.4e-7, so the
+# final window is no wider than 30 sequential golden-section steps leave
+_SECTIONS = 8
+_SECTION_STEPS = 10
 
 Angle = object  # Fraction or float, in turns, normalized to [0, 1)
 
@@ -489,39 +495,41 @@ def _tuples_at(evaluate: Callable, bases, n: int) -> list[CyclicElement]:
 
 def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float,
                 seed: int) -> tuple[float, np.ndarray, bool, float]:
-    """Sup of tuple norms over a slot: exact over points, gridded over arcs.
+    """Sup of tuple norms over a slot: exact over points, searched over arcs.
 
     Returns (lower bound, witness, exact, point upper) where exact means the
     slot had no arcs, so the sup is a finite max of certified point values,
-    and point upper is the largest upper bound over the slot's points.  The
-    tuples of the points, of the grid and of each golden-section pair are
-    solved together.
+    and point upper is the largest upper bound over the slot's points.  On
+    arcs, a grid at `resolution` is refined by a k-section search on
+    [g - resolution, g + resolution] around the best grid angle g: each of
+    _SECTION_STEPS steps evaluates the _SECTIONS interior angles that split
+    the window into equal parts of width h, and keeps [x - h, x + h] around
+    the best one x (ties keep the left one).  The lower bound is the best
+    value evaluated.  The tuples of the points, of the grid and of each step
+    are solved together.
     """
-    def norms(angles) -> list[NormEstimate]:
-        return fpzn_norms(_tuples_at(evaluate, angles, n), p, seed=seed)
+    best, witness = -math.inf, None
 
-    best = -math.inf
-    witness = None
-    exact = not arcset.arcs and not arcset.full
-    point_upper = -math.inf
-    for est in norms(arcset.points):
-        point_upper = max(point_upper, est.upper)
-        if est.lower > best:
-            best, witness = est.lower, est.witness
-    grid = arcset.arc_grid(resolution)
-    if grid:
-        vals = []
-        for est in norms(grid):
-            vals.append(est.lower)
+    def solve(angles) -> list[NormEstimate]:
+        """Tuple norms at the angles; the slot keeps the best lower bound."""
+        nonlocal best, witness
+        ests = fpzn_norms(_tuples_at(evaluate, angles, n), p, seed=seed)
+        for est in ests:
             if est.lower > best:
                 best, witness = est.lower, est.witness
-        # one golden refinement pass around the best grid angle
-        k = int(np.argmax(vals))
-        t = golden_max(lambda c, d: [est.lower for est in norms([c, d])],
-                       float(grid[k]) - resolution, float(grid[k]) + resolution, 30)
-        est = norms([t])[0]
-        if est.lower > best:
-            best, witness = est.lower, est.witness
+        return ests
+
+    exact = not arcset.arcs and not arcset.full
+    point_upper = max((est.upper for est in solve(arcset.points)), default=-math.inf)
+    grid = arcset.arc_grid(resolution)
+    if grid:
+        vals = [est.lower for est in solve(grid)]
+        center, half = float(grid[int(np.argmax(vals))]), resolution
+        for _ in range(_SECTION_STEPS):
+            h = 2.0 * half / (_SECTIONS + 1)
+            angles = center - half + h * np.arange(1, _SECTIONS + 1)
+            vals = [est.lower for est in solve(angles)]
+            center, half = float(angles[int(np.argmax(vals))]), h
     return best, witness, exact, point_upper
 
 
@@ -530,10 +538,11 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
                  seed: int = 0) -> NormEstimate:
     """Configuration norm of f: sup over slots of cyclic tuple norms.
 
-    Point slots are exact finite maxima.  Arc slots contribute grid lower
-    bounds at `resolution` (with one refinement pass) and a certified upper
-    bound uniform over the arc from interpolation; a full infinity slot
-    contributes the bilateral convolution norm bracket.
+    Point slots are exact finite maxima.  Arc slots contribute lower bounds
+    from a grid at `resolution` refined by a batched k-section search (see
+    _slot_lower) and a certified upper bound uniform over the arc from
+    interpolation; a full infinity slot contributes the bilateral
+    convolution norm bracket.
     """
     p = as_exponent(p)
     if resolution <= 0:

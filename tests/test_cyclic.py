@@ -156,12 +156,30 @@ class TestFpznNorms:
         singles = [fpzn_norm(x, p, seed=2) for x in xs]
         for size in (1, 2, 7):
             self._assert_same(fpzn_norms(xs[:size], p, seed=2), singles[:size])
-        # a cap of three elements' columns splits the seven into blocks of 3, 3 and 1
+        # a cap of three elements' columns splits the seven into blocks of 3, 3
+        # and 1; order-1 tuples are exact and run no block
         width = 32 if n > 32 else default_starts(n, 32, 0).shape[1]
         monkeypatch.setattr(cyclic, "_CHUNK_COLUMNS", 3 * width)
         blocks = self._count_blocks(monkeypatch)
         self._assert_same(fpzn_norms(xs, p, seed=2), singles)
-        assert blocks[0] == 3
+        assert blocks[0] == (0 if n == 1 else 3)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 50.0])
+    def test_order_one_is_exact(self, rng, monkeypatch, p):
+        import lpkit.cyclic as cyclic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an order-1 tuple needs no ascent")
+
+        monkeypatch.setattr(cyclic, "boyd_lower", refuse)
+        xs = [CyclicElement(1, [z]) for z in rng.standard_normal(6) + 1j * rng.standard_normal(6)]
+        xs.append(CyclicElement(1, [0.0]))
+        for x, est in zip(xs, fpzn_norms(xs, p, seed=2)):
+            # bit-equal to the exact p = 2 value, so a search over order-1
+            # tuples ranks their angles alike at every p
+            assert est.lower == est.upper == np.abs(x.xi[0]) == fpzn_norm(x, 2).lower
+            assert np.array_equal(est.witness, [1.0])
+            assert est.method == "boyd+interp"
 
     def test_one_above_the_chunk_cap(self, rng, monkeypatch):
         import lpkit.cyclic as cyclic
