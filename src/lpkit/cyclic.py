@@ -133,7 +133,7 @@ def _eigenvector(n: int, j: int) -> np.ndarray:
 
 
 def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = 1e-10,
-              max_iter: int = 10_000, seed: int = 0) -> NormEstimate:
+              seed: int = 0) -> NormEstimate:
     """Norm of a cyclic-algebra element as an operator on ell^p_n.
 
     Exact at p = 1 (column sum), at p = 2 (sup of |xi|) and at order n = 1
@@ -142,11 +142,10 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = 1e-10,
     eigenvectors, so the lower bound dominates max |xi|) and Riesz-Thorin
     interpolation of the exact endpoint norms.
     """
-    return fpzn_norms([x], p, restarts=restarts, tol=tol, max_iter=max_iter, seed=seed)[0]
+    return fpzn_norms([x], p, restarts=restarts, tol=tol, seed=seed)[0]
 
 
-def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10,
-               max_iter: int = 10_000, seed: int = 0,
+def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
                incumbent: float = 0.0) -> list[NormEstimate]:
     """fpzn_norm of each of several elements of one order, solved together.
 
@@ -205,7 +204,7 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10,
         fhat = np.stack([np.fft.fft(c) for c in coeffs[block]], axis=1)
         matmat, rmatmat, select = _circulant_matmats(fhat)
         found = boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), pv,
-                           tol=tol, max_iter=max_iter, groups=fhat.shape[1], select=select,
+                           tol=tol, groups=fhat.shape[1], select=select,
                            incumbent=incumbent)
         for x, c, (lower, w) in zip(xs[block], coeffs[block], found):
             n1 = float(np.sum(np.abs(c)))

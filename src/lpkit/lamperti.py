@@ -237,16 +237,6 @@ def periods(v: SpatialIsometry) -> PeriodDecomposition:
                                v.aperiodic)
 
 
-def _cycle_from_cross_section(v: SpatialIsometry, cycle: Cycle) -> list[int]:
-    """Atoms ordered x_j = T^{-j}(cross-section), j = 0 .. length-1."""
-    Tinv = np.empty_like(v.T)
-    Tinv[v.T] = np.arange(len(v.T))
-    out = [cycle.cross_section]
-    for _ in range(cycle.length - 1):
-        out.append(int(Tinv[out[-1]]))
-    return out
-
-
 def cycle_phase(v: SpatialIsometry, cycle: Cycle) -> complex:
     """Product of the phases along a cycle: the multiplier of v^N on it."""
     z = complex(np.prod(v.h[list(cycle.atoms)]))
@@ -264,7 +254,9 @@ def gauge_trivialize(v: SpatialIsometry) -> tuple[np.ndarray, SpatialIsometry]:
     g = np.ones(n, dtype=complex)
     new_h = np.ones(n, dtype=complex)
     for cycle in periods(v).cycles:
-        layers = _cycle_from_cross_section(v, cycle)  # x_j = T^{-j}(x_0)
+        # periods lists a cycle's atoms in T-order from its cross-section x_0,
+        # so x_j = T^{-j}(x_0) is atoms[-j]
+        layers = [cycle.atoms[0], *cycle.atoms[:0:-1]]
         N = cycle.length
         hs = [complex(v.h[x]) for x in layers]
         # g(x_j) = conj(h(x_{N-1}) ... h(x_j)) makes the phase 1 on x_j, j >= 1,

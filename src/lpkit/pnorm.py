@@ -33,6 +33,8 @@ _CONVERGENCE_TOL = 1e-10
 # stagnant iterations after which boyd_lower stops (defined in its docstring)
 _STALL_ITERS = 50
 _TINY = np.finfo(float).tiny
+# points section_max evaluates per step
+_SECTIONS = 8
 
 _log = logging.getLogger(__name__)
 
@@ -340,13 +342,13 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     return [(float(pnorm(Y[:, [i]], p, axis=0)[0]), w) for i, w in enumerate(witnesses)]
 
 
-def opnorm(A, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL,
-           max_iter: int = 10_000, seed: int = 0) -> NormEstimate:
+def opnorm(A, p, *, max_iter: int = 10_000, seed: int = 0) -> NormEstimate:
     """Certified bracket for the operator norm of A on ell^p_n.
 
     p = 1 and p = 2 are exact (column sums, largest singular value); other
-    exponents get a Boyd-ascent lower bound over `restarts` starts and a
-    Riesz-Thorin interpolation upper bound.  Deterministic given `seed`.
+    exponents get a Boyd-ascent lower bound over at least 32 starts (see
+    default_starts) and a Riesz-Thorin interpolation upper bound.
+    Deterministic given `seed`.
     """
     A = _as_square_matrix(A)
     p = as_exponent(p)
@@ -363,31 +365,40 @@ def opnorm(A, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL,
         return NormEstimate(val, val, w, "exact-p2")
 
     pv = p.value
-    starts = default_starts(n, restarts, seed)
+    starts = default_starts(n, 32, seed)
     [(lower, w)] = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, pv,
-                          tol=tol, max_iter=max_iter)
+                              max_iter=max_iter)
     n1, _ = _norm1(A)
     n2, _ = _norm2(A)
     upper = interpolation_upper(pv, n1, n2, _norm_inf(A))
     return NormEstimate(lower, max(upper, lower), w, "boyd+interp")
 
 
-def golden_max(f, lo, hi, iters: int):
-    """Golden-section maximization over [lo, hi], columnwise for arrays.
+def section_max(f, center, half, steps: int):
+    """Maximize f on [center - half, center + half] by k-section search,
+    columnwise for arrays.
 
-    `f(c, d)` returns the values at both interior points of a step, so a
-    caller can evaluate them together; ties keep the left part.
+    Each of `steps` steps calls f once on a (_SECTIONS, ...) array: the
+    interior points that split the window into equal parts of width h, and
+    keeps [x - h, x + h] around the best one x (ties keep the left one), a
+    factor 2 / (_SECTIONS + 1) per step.  This is search with simultaneous
+    evaluations (Avriel & Wilde, Management Sci. 12 (1966)); golden section
+    is optimal only for one point at a time.  Returns the best point
+    evaluated and its value.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.asarray(lo, dtype=float).copy(), np.asarray(hi, dtype=float).copy()
-    for _ in range(iters):
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        vc, vd = f(c, d)
-        left = vc >= vd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-    return (a + b) / 2.0
+    center, half = np.broadcast_arrays(np.asarray(center, dtype=float),
+                                       np.asarray(half, dtype=float))
+    k = np.arange(1, _SECTIONS + 1).reshape((-1,) + (1,) * center.ndim)
+    best_x, best_v = center, np.full(center.shape, -np.inf)
+    for _ in range(steps):
+        h = 2.0 * half / (_SECTIONS + 1)
+        v = np.asarray(f(center - half + h * k))
+        # the best point, recomputed by the same arithmetic, so bit for bit the one evaluated
+        center, vj = center - half + h * (np.argmax(v, axis=0) + 1), np.max(v, axis=0)
+        better = vj > best_v
+        best_x, best_v = np.where(better, center, best_x), np.where(better, vj, best_v)
+        half = h
+    return best_x, best_v
 
 
 def opnorm_oracle(A, p, samples: int = 256, seed: int = 0) -> float:
@@ -417,34 +428,32 @@ def opnorm_oracle(A, p, samples: int = 256, seed: int = 0) -> float:
             r = np.abs(X[i])
 
             def num_at_phase(theta):
-                return pnorm(B + a_i * (r * np.exp(1j * theta)), p, axis=0)
+                return pnorm(B + a_i * (r * np.exp(1j * theta))[..., None, :], p, axis=-2)
 
-            vals = np.stack([num_at_phase(np.full(samples, t)) for t in phase_grid])
+            vals = num_at_phase(phase_grid[:, None])
             t0 = phase_grid[np.argmax(vals, axis=0)]
-            span = 2.0 * np.pi / len(phase_grid)
-            theta = golden_max(lambda c, d: (num_at_phase(c), num_at_phase(d)),
-                               t0 - span, t0 + span, 40)
-            worse = num_at_phase(theta) < np.max(vals, axis=0)
-            theta = np.where(worse, t0, theta)
+            # 13 and 14 steps: (2/9)^13 <= phi^-40 and (2/9)^14 <= phi^-42, so the final
+            # windows are no wider than 40 and 42 golden-section steps leave
+            theta, v = section_max(num_at_phase, t0, 2.0 * np.pi / len(phase_grid), 13)
+            theta = np.where(v < np.max(vals, axis=0), t0, theta)
             phase = np.exp(1j * theta)
 
             s_other = np.maximum(pnorm(X, p, axis=0) ** p - r**p, 0.0)
 
             def ratio_at_r(rr):
-                num = pnorm(B + a_i * (phase * rr), p, axis=0)
+                num = pnorm(B + a_i * (phase * rr)[..., None, :], p, axis=-2)
                 den = np.maximum(s_other + rr**p, 1e-300) ** (1.0 / p)
                 return num / den
 
             hi = np.maximum(4.0 * r, 1.0)
             r_grid = np.linspace(np.zeros(samples), hi, 9)
-            vals_r = np.stack([ratio_at_r(rr) for rr in r_grid])
-            k = np.argmax(vals_r, axis=0)
-            r_lo = np.take_along_axis(r_grid, np.maximum(k - 1, 0)[None, :], axis=0)[0]
-            r_hi = np.take_along_axis(r_grid, np.minimum(k + 1, 8)[None, :], axis=0)[0]
-            rr = golden_max(lambda c, d: (ratio_at_r(c), ratio_at_r(d)), r_lo, r_hi, 42)
-            r_best = np.take_along_axis(r_grid, k[None, :], axis=0)[0]
-            worse = ratio_at_r(rr) < np.maximum(np.max(vals_r, axis=0), ratio_at_r(r))
-            rr = np.where(worse, np.where(ratio_at_r(r_best) >= ratio_at_r(r), r_best, r), rr)
+            vals_r = ratio_at_r(r_grid)
+            k, cols = np.argmax(vals_r, axis=0), np.arange(samples)
+            r_lo, r_hi = r_grid[np.maximum(k - 1, 0), cols], r_grid[np.minimum(k + 1, 8), cols]
+            rr, v = section_max(ratio_at_r, (r_lo + r_hi) / 2.0, (r_hi - r_lo) / 2.0, 14)
+            r_best = r_grid[k, cols]
+            v_grid, v_r = np.max(vals_r, axis=0), ratio_at_r(r)
+            rr = np.where(v < np.maximum(v_grid, v_r), np.where(v_grid >= v_r, r_best, r), rr)
 
             X[i] = phase * rr
             AX = B + a_i * X[i]

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
-from .pnorm import NormEstimate, as_exponent, interpolation_upper
+from .pnorm import NormEstimate, as_exponent, interpolation_upper, section_max
 from .zline import LaurentPolynomial, fpz_norm, norm_l1, sup_exact
 
 __all__ = [
@@ -47,11 +47,9 @@ _SNAP_TOL = 1e-12
 # comparisons tolerate a few snap steps' worth of drift
 _ANGLE_TOL = 5e-12
 _SNAP_DENOMINATOR = 10**6
-# an arc slot's refinement: each step solves _SECTIONS equally spaced
-# angles together and keeps two spacings around the best one, a factor
-# 2 / (_SECTIONS + 1) per step; (2/9)^10 = 2.9e-7 <= phi^-30 = 5.4e-7, so the
-# final window is no wider than 30 sequential golden-section steps leave
-_SECTIONS = 8
+# steps of an arc slot's k-section refinement (see pnorm.section_max), a factor
+# 2/9 each; (2/9)^10 = 2.9e-7 <= phi^-30 = 5.4e-7, so the final window is no
+# wider than 30 sequential golden-section steps leave
 _SECTION_STEPS = 10
 
 Angle = object  # Fraction or float, in turns, normalized to [0, 1)
@@ -500,13 +498,10 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
     Returns (lower bound, witness, exact, point upper) where exact means the
     slot had no arcs, so the sup is a finite max of certified point values,
     and point upper is the largest upper bound over the slot's points.  On
-    arcs, a grid at `resolution` is refined by a k-section search on
-    [g - resolution, g + resolution] around the best grid angle g: each of
-    _SECTION_STEPS steps evaluates the _SECTIONS interior angles that split
-    the window into equal parts of width h, and keeps [x - h, x + h] around
-    the best one x (ties keep the left one).  The lower bound is the best
-    value evaluated.  The tuples of the points, of the grid and of each step
-    are solved together.
+    arcs, a grid at `resolution` is refined by _SECTION_STEPS steps of
+    pnorm.section_max on [g - resolution, g + resolution] around the best
+    grid angle g.  The lower bound is the best value evaluated.  The tuples
+    of the points, of the grid and of each step are solved together.
     """
     best, witness = -math.inf, None
 
@@ -524,12 +519,8 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
     grid = arcset.arc_grid(resolution)
     if grid:
         vals = [est.lower for est in solve(grid)]
-        center, half = float(grid[int(np.argmax(vals))]), resolution
-        for _ in range(_SECTION_STEPS):
-            h = 2.0 * half / (_SECTIONS + 1)
-            angles = center - half + h * np.arange(1, _SECTIONS + 1)
-            vals = [est.lower for est in solve(angles)]
-            center, half = float(angles[int(np.argmax(vals))]), h
+        section_max(lambda angles: [est.lower for est in solve(angles)],
+                    float(grid[int(np.argmax(vals))]), resolution, _SECTION_STEPS)
     return best, witness, exact, point_upper
 
 

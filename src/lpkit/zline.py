@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
-from .pnorm import NormEstimate, as_exponent, golden_max, interpolation_upper
+from .pnorm import NormEstimate, as_exponent, interpolation_upper, section_max
 
 __all__ = [
     "LaurentPolynomial",
@@ -99,7 +99,7 @@ def norm_l1(f: LaurentPolynomial) -> float:
 
 
 def norm_sup(f: LaurentPolynomial, grid: int = 2048) -> float:
-    """Max of |f| over an equispaced circle grid, golden-refined at the argmax.
+    """Max of |f| over an equispaced circle grid, refined at the argmax.
 
     Equals the p = 2 convolution norm within grid resolution.
     """
@@ -108,9 +108,8 @@ def norm_sup(f: LaurentPolynomial, grid: int = 2048) -> float:
     theta = 2.0 * np.pi * np.arange(grid) / grid
     vals = np.abs(f(np.exp(1j * theta)))
     k = int(np.argmax(vals))
-    t = golden_max(lambda c, d: (abs(f(cmath.exp(1j * c))), abs(f(cmath.exp(1j * d)))),
-                   theta[k] - 2.0 * np.pi / grid, theta[k] + 2.0 * np.pi / grid, 60)
-    return max(float(vals[k]), abs(f(cmath.exp(1j * t))))
+    _, v = section_max(lambda t: np.abs(f(np.exp(1j * t))), theta[k], 2.0 * np.pi / grid, 20)
+    return max(float(vals[k]), float(v))
 
 
 def sup_exact(f: LaurentPolynomial) -> tuple[float, complex]:
@@ -180,12 +179,13 @@ def fpz_upper(f: LaurentPolynomial, p) -> float:
     """fpz_norm's certified upper bound (0 for f = 0): ell^1 at p = 1, the sup at
     p = 2, else Riesz-Thorin between those and ell^1 of the reversal (p = inf)."""
     p = as_exponent(p)
-    if p.is_one:
-        return norm_l1(f)
-    sup = sup_exact(f)[0]
-    if p.is_two:
-        return sup
-    return interpolation_upper(p.value, norm_l1(f), sup, norm_l1(f.reversed()))
+    return norm_l1(f) if p.is_one else _upper_from_sup(f, p, sup_exact(f)[0])
+
+
+def _upper_from_sup(f: LaurentPolynomial, p, sup: float) -> float:
+    """fpz_upper at p != 1, given sup |f|."""
+    return sup if p.is_two else interpolation_upper(p.value, norm_l1(f), sup,
+                                                    norm_l1(f.reversed()))
 
 
 def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
@@ -205,12 +205,14 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     if not f.terms:
         return NormEstimate(0.0, 0.0, np.array([1.0 + 0.0j]), "exact-p1")
 
-    upper = fpz_upper(f, p)
     if p.is_one:
-        est = fpzn_norm(f.samples(f.span + 1), 1.0)
-        return NormEstimate(upper, upper, est.witness, "exact-p1")
+        # every column of the order-(span + 1) circulant sums to ell^1, so e_0 attains it
+        witness = np.zeros(f.span + 1, dtype=complex)
+        witness[0] = 1.0
+        return NormEstimate(norm_l1(f), norm_l1(f), witness, "exact-p1")
 
-    peak = sup_exact(f)[1]
+    sup, peak = sup_exact(f)
+    upper = _upper_from_sup(f, p, sup)
     if p.is_two:
         est = fpzn_norm(f.samples(max(f.span, 1), peak), 2.0)
         return NormEstimate(upper, upper, est.witness, "exact-p2")

@@ -10,10 +10,10 @@ from lpkit.pnorm import (
     PExponent,
     as_exponent,
     boyd_lower,
-    golden_max,
     opnorm,
     opnorm_oracle,
     pnorm,
+    section_max,
 )
 
 from conftest import random_laurent
@@ -218,29 +218,55 @@ class TestTextbookBoyd:
         self._check(circulant_of(random_laurent(rng, span=5).samples(n)), p, rng)
 
 
-class TestGoldenMax:
+class TestSectionMax:
     @staticmethod
     def counted(g):
         calls = []
 
-        def f(c, d):
-            calls.append((c, d))
-            return g(c), g(d)
+        def f(x):
+            calls.append(x)
+            return g(x)
 
         return f, calls
 
     def test_scalar(self):
-        f, calls = self.counted(lambda t: -(t - 0.3) ** 2)
-        t = golden_max(f, 0.0, 1.0, 40)
-        assert len(calls) == 40
-        assert t == pytest.approx(0.3, abs=1e-7)
+        g = lambda t: -(t - 0.3) ** 2
+        f, calls = self.counted(g)
+        x, v = section_max(f, 0.5, 0.5, 10)
+        assert len(calls) == 10 and all(c.shape == (8,) for c in calls)
+        assert x == pytest.approx(0.3, abs=(2 / 9) ** 10)
+        assert v == g(x)
 
     def test_columnwise(self):
         peaks = np.array([-1.0, 0.25, 2.0])
         f, calls = self.counted(lambda t: np.cos(t - peaks))
-        t = golden_max(f, peaks - 1.0, peaks + 0.5, 50)
-        assert len(calls) == 50 and all(c.shape == (3,) for c, _ in calls)
-        assert np.allclose(t, peaks, atol=1e-8)
+        x, v = section_max(f, peaks - 0.2, 0.8, 12)
+        assert len(calls) == 12 and all(c.shape == (8, 3) for c in calls)
+        assert np.allclose(x, peaks, atol=1e-8)
+        assert np.array_equal(v, np.cos(x - peaks))
+
+    def test_returns_best_evaluated(self):
+        # a spike at the first step's first point 1/9: every later step looks
+        # around it and finds only lower values, yet the spike is returned
+        g = lambda t: np.where(np.abs(t - 1 / 9) < 1e-12, 2.0, -np.abs(t - 0.9))
+        f, calls = self.counted(g)
+        x, v = section_max(f, 0.5, 0.5, 6)
+        assert x == calls[0][0] and v == 2.0
+        values = np.concatenate([g(c) for c in calls])
+        assert v == values.max()
+        # the windows shrink by 2/9 around each step's best point
+        for prev, cur in zip(calls, calls[1:]):
+            h = prev[1] - prev[0]
+            best = prev[np.argmax(g(prev))]
+            assert best - h <= cur[0] and cur[-1] <= best + h
+
+    def test_ties_keep_left(self):
+        f, calls = self.counted(lambda t: np.zeros_like(t))
+        x, v = section_max(f, np.array([0.0, 1.0]), 1.0, 3)
+        assert np.array_equal(x, calls[0][0]) and np.array_equal(v, [0.0, 0.0])
+        # every step keeps the window around its leftmost point
+        for prev, cur in zip(calls, calls[1:]):
+            assert np.allclose((cur[0] + cur[-1]) / 2, prev[0], atol=1e-15)
 
 
 class TestStallRule:

@@ -162,6 +162,30 @@ class TestFpzNorm:
                 assert est.upper == max(fpz_upper(f, p), est.lower)
         assert fpz_upper(poly(), 1.5) == 0.0
 
+    def test_one_sup_and_no_p1_solve(self, rng, monkeypatch):
+        # the sup and its peak come from one sup_exact call; p = 1 needs
+        # neither the sup nor a tuple solve for its witness
+        counts = {"sup_exact": 0, "fpzn_norms": 0}
+
+        def counted(name, fn):
+            def inner(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return inner
+
+        monkeypatch.setattr(zline, "sup_exact", counted("sup_exact", zline.sup_exact))
+        solve = counted("fpzn_norms", cyclic.fpzn_norms)
+        monkeypatch.setattr(zline, "fpzn_norms", solve)
+        monkeypatch.setattr(cyclic, "fpzn_norms", solve)
+        f = random_laurent(rng, span=3)
+        for p, sups, solves in ((1.0, 0, 0), (2.0, 1, 1), (1.5, 1, None), (3.0, 1, None)):
+            counts.update(sup_exact=0, fpzn_norms=0)
+            est = fpz_norm(f, p, n_max=4)
+            assert counts["sup_exact"] == sups
+            assert solves is None or counts["fpzn_norms"] == solves
+        w = fpz_norm(f, 1.0).witness
+        assert w.shape == (f.span + 1,) and np.array_equal(w, np.eye(f.span + 1)[0])
+
 
 class TestIncumbent:
     """fpz_norm's ascents stop once they cannot raise the lower bound it holds."""
