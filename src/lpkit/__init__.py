@@ -33,7 +33,7 @@ from .lamperti import (
     spectral_configuration_of,
     to_matrix,
 )
-from .pnorm import NormEstimate, PExponent, opnorm, opnorm_oracle
+from .pnorm import NormEstimate, opnorm, opnorm_oracle
 from .specconf import (
     ArcSet,
     SpectralConfiguration,
@@ -58,7 +58,6 @@ __all__ = [
     "CyclicElement",
     "LaurentPolynomial",
     "NormEstimate",
-    "PExponent",
     "SpatialIsometry",
     "SpectralConfiguration",
     "canonically_equivalent",

@@ -204,9 +204,6 @@ def _cmd_config(args) -> int:
     if op in ("saturate", "classify") and len(configs) != 1:
         raise SchemaError(f"config {op} needs exactly one --in file")
 
-    if args.format == "csv":
-        raise SchemaError("config subcommands emit JSON only")
-
     if op == "saturate":
         payload = {"result": saturate(configs[0]).to_json()}
     elif op == "leq":
@@ -337,11 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
+    def common(sp, seed=True, formats=("json", "csv")):
         sp.add_argument("--in", dest="inputs", action="append", required=True,
                         metavar="FILE", help="input JSON file (repeatable)")
         sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--format", choices=["json", "csv"], default=None)
+        sp.set_defaults(formats=formats)
         if seed:
             sp.add_argument("--seed", type=int, default=None)
 
@@ -359,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfg = sub.add_parser("config", help="spectral configuration algebra")
     p_cfg.add_argument("op", choices=["saturate", "leq", "sup", "inf", "classify", "equiv"])
     p_cfg.add_argument("--p", type=float, default=None)
-    common(p_cfg, seed=False)
+    common(p_cfg, seed=False, formats=("json",))
     p_cfg.set_defaults(func=_cmd_config)
 
     p_isom = sub.add_parser("isom", help="isometry analysis")
     p_isom.add_argument("op", choices=["decompose", "periods", "trivialize", "sigma"])
     p_isom.add_argument("--p", type=float, default=None)
     p_isom.add_argument("--tol", type=float, default=1e-9)
-    common(p_isom, seed=False)
+    common(p_isom, seed=False, formats=("json",))
     p_isom.set_defaults(func=_cmd_isom)
 
     p_sweep = sub.add_parser("sweep", help="grid sweeps to CSV")
@@ -378,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-max", dest="n_max", type=int, default=512)
     p_sweep.add_argument("--timings", action="store_true",
                          help="measure runtimes (breaks byte-reproducibility)")
-    common(p_sweep)
+    common(p_sweep, formats=("csv",))
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -388,6 +386,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format not in (None, *args.formats):
+            raise SchemaError(f"{args.command} emits {' or '.join(args.formats).upper()} only")
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

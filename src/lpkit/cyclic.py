@@ -165,13 +165,13 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
         raise ValueError("elements must share one group order")
     coeffs = [x.coefficients() for x in xs]
 
-    if p.is_one:
+    if p == 1.0:
         w = np.zeros(n, dtype=complex)
         w[0] = 1.0
         vals = [float(np.sum(np.abs(c))) for c in coeffs]
         return [NormEstimate(val, val, w.copy(), "exact-p1") for val in vals]
 
-    if p.is_two:
+    if p == 2.0:
         out = []
         for x in xs:
             j = int(np.argmax(np.abs(x.xi)))
@@ -185,7 +185,6 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
         vals = [float(np.abs(x.xi[0])) for x in xs]
         return [NormEstimate(val, val, np.ones(1, dtype=complex), "boyd+interp") for val in vals]
 
-    pv = p.value
     if n <= 32:
         shared = default_starts(n, restarts, seed)
         starts = [shared] * len(xs)
@@ -203,13 +202,13 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
         block = slice(lo, lo + per_block)
         fhat = np.stack([np.fft.fft(c) for c in coeffs[block]], axis=1)
         matmat, rmatmat, select = _circulant_matmats(fhat)
-        found = boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), pv,
+        found = boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), p,
                            tol=tol, groups=fhat.shape[1], select=select,
                            incumbent=incumbent)
         for x, c, (lower, w) in zip(xs[block], coeffs[block], found):
             n1 = float(np.sum(np.abs(c)))
             n2 = float(np.max(np.abs(x.xi)))
-            upper = interpolation_upper(pv, n1, n2, n1)
+            upper = interpolation_upper(p, n1, n2, n1)
             out.append(NormEstimate(lower, max(upper, lower), w, "boyd+interp"))
     return out
 
@@ -282,7 +281,7 @@ def classify_isometry(x: CyclicElement, p, tol: float = 1e-9, *,
     if not x.is_invertible:
         raise ValueError("element is not invertible")
     n = x.n
-    if p.is_two:
+    if p == 2.0:
         if np.all(np.abs(np.abs(x.xi) - 1.0) <= tol):
             return IsometryClassification("all-unimodular")
         sup = float(np.max(np.abs(x.xi)))
@@ -322,7 +321,11 @@ def _structured_candidate(n: int, d: int, zetas: np.ndarray, ks: np.ndarray) -> 
     return CyclicElement(n, xi)
 
 
-def gap_witness(n: int, d: int, p, *, seed: int = 0, budget: int = 64,
+# randomized structured candidates gap_witness tries after the fixed ones
+_GAP_BUDGET = 64
+
+
+def gap_witness(n: int, d: int, p, *, seed: int = 0,
                 target_margin: float = 0.05) -> tuple[CyclicElement, float]:
     """Find alpha whose full norm strictly exceeds all its order-d restrictions.
 
@@ -333,7 +336,7 @@ def gap_witness(n: int, d: int, p, *, seed: int = 0, budget: int = 64,
     norm brackets; raises GapSearchError if no positive margin is found.
     """
     p = as_exponent(p)
-    if p.is_two:
+    if p == 2.0:
         raise ValueError("no gap exists at p = 2 (the norm is the sup norm)")
     if n % d != 0 or not (1 <= d < n):
         raise ValueError("need d | n and d < n")
@@ -387,7 +390,7 @@ def gap_witness(n: int, d: int, p, *, seed: int = 0, budget: int = 64,
                 break
         return cur, _structured_candidate(n, d, np.exp(1j * angles), ks)
 
-    for trial in range(budget):
+    for trial in range(_GAP_BUDGET):
         zetas = np.exp(2j * np.pi * rng.random(stride))
         ks = rng.integers(0, d, size=stride) if d > 1 else np.zeros(stride, dtype=int)
         m, alpha = ascend(zetas, ks)
@@ -399,5 +402,5 @@ def gap_witness(n: int, d: int, p, *, seed: int = 0, budget: int = 64,
     if best is not None and best[0] > 0.0:
         return best[1], best[0]
     raise GapSearchError(
-        f"no strict gap certified for (n={n}, d={d}, p={p.value}) within budget {budget}"
+        f"no strict gap certified for (n={n}, d={d}, p={p}) within budget {_GAP_BUDGET}"
     )

@@ -168,14 +168,14 @@ def to_matrix(v: SpatialIsometry, p) -> np.ndarray:
     A = np.zeros((n, n), dtype=complex)
     for x in range(n):
         y = int(v.T[x])
-        A[y, x] = v.h[y] * (w[x] / w[y]) ** (1.0 / p.value)
+        A[y, x] = v.h[y] * (w[x] / w[y]) ** (1.0 / p)
     return A
 
 
 def standardized_matrix(v: SpatialIsometry, p) -> np.ndarray:
     """to_matrix conjugated onto standard ell^p_n (a complex permutation)."""
     p = as_exponent(p)
-    d = v.space.weights ** (1.0 / p.value)
+    d = v.space.weights ** (1.0 / p)
     return (d[:, None] * to_matrix(v, p)) / d[None, :]
 
 
@@ -187,7 +187,7 @@ def decompose(A, space: AtomicSpace, p, tol: float = 1e-9) -> SpatialIsometry:
     factorization is not unique.
     """
     p = as_exponent(p)
-    if p.is_two:
+    if p == 2.0:
         raise AmbiguousExponentError("at p = 2 spatial form does not determine the isometry")
     A = np.asarray(A, dtype=complex)
     n = space.n_atoms
@@ -202,7 +202,7 @@ def decompose(A, space: AtomicSpace, p, tol: float = 1e-9) -> SpatialIsometry:
             raise NotSpatialError(f"column {x} has {len(nz)} nonzero entries, expected 1")
         y = int(nz[0])
         T[x] = y
-        expected = (w[x] / w[y]) ** (1.0 / p.value)
+        expected = (w[x] / w[y]) ** (1.0 / p)
         phase = A[y, x] / expected
         if abs(abs(phase) - 1.0) > tol:
             raise NotSpatialError(
@@ -314,7 +314,6 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
     brackets must overlap.
     """
     p = as_exponent(p)
-    mode = mode.lower().replace("_", "-")
     if mode not in ("direct", "via-sigma", "both"):
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PExponent",
     "NormEstimate",
     "opnorm",
     "opnorm_oracle",
@@ -39,52 +38,11 @@ _SECTIONS = 8
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PExponent:
-    """Hoelder exponent p in [1, inf), with an internal marker for infinity.
-
-    The infinity marker exists only so that dual() is everywhere defined
-    (dual(1) = inf); public norm routines reject it.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        v = self.value
-        if not (isinstance(v, (int, float)) and not math.isnan(v) and v >= 1.0):
-            raise ValueError(f"exponent must satisfy p >= 1, got {v!r}")
-        object.__setattr__(self, "value", float(v))
-
-    @classmethod
-    def infinity(cls) -> "PExponent":
-        return cls(math.inf)
-
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1.0
-
-    @property
-    def is_two(self) -> bool:
-        return self.value == 2.0
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
-    def dual(self) -> "PExponent":
-        """Conjugate exponent: 1/p + 1/p' = 1.  An involution; dual(1) = inf."""
-        if self.is_one:
-            return PExponent.infinity()
-        if self.is_infinite:
-            return PExponent(1.0)
-        return PExponent(self.value / (self.value - 1.0))
-
-
-def as_exponent(p) -> PExponent:
-    """Coerce a float or PExponent to a finite PExponent."""
-    p = p if isinstance(p, PExponent) else PExponent(float(p))
-    if p.is_infinite:
-        raise ValueError("the infinity exponent is internal only; use p in [1, inf)")
+def as_exponent(p) -> float:
+    """Hoelder exponent p as a float; ValueError unless 1 <= p < inf (NaN fails)."""
+    p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
     return p
 
 
@@ -354,23 +312,22 @@ def opnorm(A, p, *, max_iter: int = 10_000, seed: int = 0) -> NormEstimate:
     p = as_exponent(p)
     n = A.shape[0]
 
-    if p.is_one:
+    if p == 1.0:
         val, j = _norm1(A)
         w = np.zeros(n, dtype=complex)
         w[j] = 1.0
         return NormEstimate(val, val, w, "exact-p1")
 
-    if p.is_two:
+    if p == 2.0:
         val, w = _norm2(A)
         return NormEstimate(val, val, w, "exact-p2")
 
-    pv = p.value
     starts = default_starts(n, 32, seed)
-    [(lower, w)] = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, pv,
+    [(lower, w)] = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p,
                               max_iter=max_iter)
     n1, _ = _norm1(A)
     n2, _ = _norm2(A)
-    upper = interpolation_upper(pv, n1, n2, _norm_inf(A))
+    upper = interpolation_upper(p, n1, n2, _norm_inf(A))
     return NormEstimate(lower, max(upper, lower), w, "boyd+interp")
 
 
@@ -410,7 +367,7 @@ def opnorm_oracle(A, p, samples: int = 256, seed: int = 0) -> float:
     This deliberately shares no code path with opnorm's Boyd iteration.
     """
     A = _as_square_matrix(A)
-    p = as_exponent(p).value
+    p = as_exponent(p)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = A.shape[0]

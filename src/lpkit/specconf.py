@@ -478,7 +478,7 @@ def classify(config: SpectralConfiguration, p) -> DichotomyResult:
     n = order(config)
     if n == math.inf:
         return DichotomyResult("fpz", math.inf)
-    return DichotomyResult("continuous", n, isometric_to_sup=(p.is_two or n == 1))
+    return DichotomyResult("continuous", n, isometric_to_sup=(p == 2.0 or n == 1))
 
 
 def _tuples_at(evaluate: Callable, bases, n: int) -> list[CyclicElement]:
@@ -543,12 +543,12 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
     lower = -math.inf
     upper = 0.0
     witness = np.array([1.0 + 0.0j])
-    method = "exact-p1" if p.is_one else ("exact-p2" if p.is_two else "boyd+interp")
+    method = "exact-p1" if p == 1.0 else ("exact-p2" if p == 2.0 else "boyd+interp")
     all_exact = True
 
     l1 = norm_l1(f)
     sup_cert = sup_exact(f)[0] * (1.0 + 1e-12)
-    arc_upper = interpolation_upper(p.value, l1, sup_cert, norm_l1(f.reversed()))
+    arc_upper = interpolation_upper(p, l1, sup_cert, norm_l1(f.reversed()))
 
     slots = {} if config.maximal else config.finite_slots
     for n, arcset in slots.items():
@@ -565,7 +565,7 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
         upper = max(upper, slot_upper)
 
     if config.maximal or config.infinity_full:
-        est = fpz_norm(f, p.value, n_max=n_max, seed=seed)
+        est = fpz_norm(f, p, n_max=n_max, seed=seed)
         if est.lower > lower:
             lower, witness = est.lower, est.witness
         upper = max(upper, est.upper)
@@ -648,7 +648,7 @@ def membership_probe(t, n: int, config: SpectralConfiguration, p,
     saturated configuration of finite order and p != 2.
     """
     p = as_exponent(p)
-    if p.is_two:
+    if p == 2.0:
         raise ValueError("the probe needs p != 2 (at p = 2 all slots carry the sup norm)")
     if config.maximal or config.infinity_full:
         raise ValueError("the probe needs a finite-order configuration")

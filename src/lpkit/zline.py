@@ -179,12 +179,12 @@ def fpz_upper(f: LaurentPolynomial, p) -> float:
     """fpz_norm's certified upper bound (0 for f = 0): ell^1 at p = 1, the sup at
     p = 2, else Riesz-Thorin between those and ell^1 of the reversal (p = inf)."""
     p = as_exponent(p)
-    return norm_l1(f) if p.is_one else _upper_from_sup(f, p, sup_exact(f)[0])
+    return norm_l1(f) if p == 1.0 else _upper_from_sup(f, p, sup_exact(f)[0])
 
 
 def _upper_from_sup(f: LaurentPolynomial, p, sup: float) -> float:
     """fpz_upper at p != 1, given sup |f|."""
-    return sup if p.is_two else interpolation_upper(p.value, norm_l1(f), sup,
+    return sup if p == 2.0 else interpolation_upper(p, norm_l1(f), sup,
                                                     norm_l1(f.reversed()))
 
 
@@ -205,7 +205,7 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     if not f.terms:
         return NormEstimate(0.0, 0.0, np.array([1.0 + 0.0j]), "exact-p1")
 
-    if p.is_one:
+    if p == 1.0:
         # every column of the order-(span + 1) circulant sums to ell^1, so e_0 attains it
         witness = np.zeros(f.span + 1, dtype=complex)
         witness[0] = 1.0
@@ -213,7 +213,7 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
 
     sup, peak = sup_exact(f)
     upper = _upper_from_sup(f, p, sup)
-    if p.is_two:
+    if p == 2.0:
         est = fpzn_norm(f.samples(max(f.span, 1), peak), 2.0)
         return NormEstimate(upper, upper, est.witness, "exact-p2")
 
@@ -221,7 +221,7 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     witness = np.array([1.0 + 0.0j])
     for n in _schedule(n_max):
         bases = (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak)
-        for est in fpzn_norms([f.samples(n, t) for t in bases], p.value, seed=seed,
+        for est in fpzn_norms([f.samples(n, t) for t in bases], p, seed=seed,
                               incumbent=lower):
             if est.lower > lower:
                 lower, witness = est.lower, est.witness

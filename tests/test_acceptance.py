@@ -29,7 +29,7 @@ from lpkit.lamperti import (
     measure_normalize,
     to_matrix,
 )
-from lpkit.pnorm import PExponent, opnorm, opnorm_oracle
+from lpkit.pnorm import opnorm, opnorm_oracle
 from lpkit.specconf import (
     ArcSet,
     SpectralConfiguration,
@@ -158,7 +158,7 @@ def test_criterion_07_norm_engine_soundness():
             est = opnorm(A, p, seed=i)
             orc = opnorm_oracle(A, p, samples=16, seed=i)
             ok &= orc <= est.lower + 1e-6 <= est.upper + 1e-6
-            dual = opnorm(A.T, PExponent(p).dual().value, seed=i)
+            dual = opnorm(A.T, p / (p - 1.0), seed=i)
             ok &= est.overlaps(dual, 1e-9)
     _criterion(7, "oracle <= lower <= upper and transpose duality (100 matrices)", ok)
 

@@ -78,8 +78,9 @@ class TestNorm:
         rc, _, err = run(capsys, "norm", "z", "--p", "1.5", "--in", files["poly.json"])
         assert rc == EXIT_SCHEMA and "seed" in err
 
-    def test_p_below_one_is_precondition(self, files, capsys):
-        rc, _, _ = run(capsys, "norm", "zn", "--p", "0.5", "--in", files["xi.json"])
+    @pytest.mark.parametrize("p", ["0.5", "nan", "inf", "1e400", "-3"])
+    def test_p_below_one_is_precondition(self, files, capsys, p):
+        rc, _, _ = run(capsys, "norm", "zn", "--p", p, "--in", files["xi.json"])
         assert rc == EXIT_PRECONDITION
 
     def test_schema_violation(self, files, capsys):
@@ -151,6 +152,12 @@ class TestIsom:
         rc, out, _ = run(capsys, "isom", "sigma", "--in", files["v.json"])
         assert json.loads(out)["result"]["finite"]["2"]["points"] == [0.0, 0.5]
 
+    def test_csv_format_refused(self, files, capsys):
+        rc, out, _ = run(capsys, "isom", "periods", "--in", files["v.json"], "--format", "json")
+        assert rc == EXIT_OK and json.loads(out)["config"]["format"] == "json"
+        rc, out, err = run(capsys, "isom", "periods", "--in", files["v.json"], "--format", "csv")
+        assert rc == EXIT_SCHEMA and out == "" and "JSON only" in err
+
 
 class TestSweep:
     def test_p_grid_monotone(self, files, capsys, tmp_path):
@@ -191,6 +198,14 @@ class TestSweep:
         rc, _, _ = run(capsys, "sweep", "--kind", "z", "--in", files["poly.json"],
                        "--n-grid", "2,4", "--p", "1.5", "--tol", "0", "--seed", "0")
         assert rc == EXIT_PRECONDITION
+
+    def test_json_format_refused(self, files, capsys):
+        args = ("sweep", "--kind", "zn", "--in", files["xi.json"], "--p-grid", "1:2:0.5",
+                "--seed", "0", "--format")
+        rc, out, _ = run(capsys, *args, "csv")
+        assert rc == EXIT_OK and out.startswith("p,n,lower,upper,runtime_ms\n")
+        rc, out, err = run(capsys, *args, "json")
+        assert rc == EXIT_SCHEMA and out == "" and "CSV only" in err
 
     def test_empty_grid(self, files, capsys):
         rc, _, _ = run(capsys, "sweep", "--kind", "zn", "--in", files["xi.json"],

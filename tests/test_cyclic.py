@@ -15,7 +15,7 @@ from lpkit.cyclic import (
     restrict,
     rotate,
 )
-from lpkit.pnorm import PExponent, default_starts, opnorm, opnorm_oracle
+from lpkit.pnorm import default_starts, opnorm, opnorm_oracle
 
 from conftest import random_laurent, random_unimodular
 
@@ -115,7 +115,7 @@ class TestFpznNorm:
             rev = xi[(-np.arange(n)) % n]
             for p in (1.3, 2.6):
                 est = fpzn_norm(CyclicElement(n, xi), p, seed=k)
-                dual = fpzn_norm(CyclicElement(n, rev), PExponent(p).dual().value, seed=k)
+                dual = fpzn_norm(CyclicElement(n, rev), p / (p - 1.0), seed=k)
                 assert est.overlaps(dual, 1e-9)
 
 

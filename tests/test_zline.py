@@ -3,7 +3,6 @@ import pytest
 
 import lpkit.cyclic as cyclic
 import lpkit.zline as zline
-from lpkit.pnorm import PExponent
 from lpkit.zline import (
     LaurentPolynomial,
     cyclic_lower,
@@ -139,7 +138,7 @@ class TestFpzNorm:
             f = random_laurent(rng, span=3)
             for p in (1.5, 3.0):
                 est = fpz_norm(f, p, n_max=32)
-                dual = fpz_norm(f.reversed(), PExponent(p).dual().value, n_max=32)
+                dual = fpz_norm(f.reversed(), p / (p - 1.0), n_max=32)
                 assert est.overlaps(dual, 1e-9)
 
     def test_early_stop_keeps_bracket_valid(self, rng):
@@ -226,3 +225,11 @@ class TestIncumbent:
                         strict=True):
             assert a.lower == b.lower and a.upper == b.upper
             assert np.array_equal(a.witness, b.witness)
+
+
+@pytest.mark.xfail(strict=True, reason="interpolation_upper is not rounded outward, so the "
+                   "upper bound can sit an ulp below a reproduced lower bound; ROADMAP item 3 "
+                   "holds the outward slack")
+def test_upper_not_below_reproduced_lower():
+    f = random_laurent(np.random.default_rng(20240), span=1)
+    assert fpz_upper(f, 1.5) >= fpz_norm(f, 1.5, n_max=4).lower
