@@ -253,13 +253,20 @@ def _cmd_isom(args) -> int:
     return EXIT_OK
 
 
+_MAX_P_GRID = 10_000  # most points one --p-grid may hold
+
+
 def _parse_p_grid(spec: str) -> list[float]:
     try:
         start, stop, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise SchemaError(f"bad --p-grid {spec!r}, expected START:STOP:STEP") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise SchemaError(f"bad --p-grid {spec!r}, START, STOP and STEP must be finite")
     if step <= 0 or stop < start:
         raise SchemaError("empty p grid")
+    if (stop + 1e-12 - start) / step >= _MAX_P_GRID:  # the loop appends floor(this) + 1 points
+        raise SchemaError(f"--p-grid {spec!r} has more than {_MAX_P_GRID} points")
     out = []
     k = 0
     while start + k * step <= stop + 1e-12:
@@ -286,24 +293,24 @@ def _cmd_sweep(args) -> int:
         raise SchemaError("declare exactly one of --p-grid or --n-grid")
     if args.p is not None:
         as_exponent(args.p)
-    if args.p_grid:
-        for p in _parse_p_grid(args.p_grid):
-            as_exponent(p)
+    p_grid = _parse_p_grid(args.p_grid) if args.p_grid else []
+    for p in p_grid:
+        as_exponent(p)
 
     rows = []
     if args.kind == "zn":
         x = _parse(CyclicElement.from_json, _load_json(args.inputs[0]), "cyclic element")
         if args.n_grid:
             raise SchemaError("sweep zn varies p; use --p-grid")
-        for p in _parse_p_grid(args.p_grid):
+        for p in p_grid:
             t0 = time.perf_counter()
             est = fpzn_norm(x, p, seed=seed)
             ms = (time.perf_counter() - t0) * 1000.0
             rows.append((p, x.n, est.lower, est.upper, ms if args.timings else 0.0))
     else:
         f = _parse(LaurentPolynomial.from_json, _load_json(args.inputs[0]), "polynomial")
-        if args.p_grid:
-            for p in _parse_p_grid(args.p_grid):
+        if p_grid:
+            for p in p_grid:
                 t0 = time.perf_counter()
                 est = fpz_norm(f, p, tol=args.tol, n_max=args.n_max, seed=seed)
                 ms = (time.perf_counter() - t0) * 1000.0

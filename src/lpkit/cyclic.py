@@ -43,6 +43,8 @@ __all__ = [
 
 # widest block one grouped ascent iterates; bounds its memory, not its result
 _CHUNK_COLUMNS = 4096
+# ascent tolerance for a lower bound that must not lose to convergence slack
+TIGHT_TOL = 1e-12
 
 
 class GapSearchError(RuntimeError):
@@ -146,7 +148,7 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = 1e-10,
 
 
 def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
-               incumbent: float = 0.0) -> list[NormEstimate]:
+               incumbent: float = 0.0, start=None) -> list[NormEstimate]:
     """fpzn_norm of each of several elements of one order, solved together.
 
     Every element gets the bracket it gets alone, bit for bit; the Boyd
@@ -155,6 +157,11 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
     an ascent that is not on pace to pass it stops early, so with an
     incumbent above 0 an element's own lower bound may fall below what it
     gets alone.  Only the maximum over the call and the incumbent is meant.
+
+    `start` is a vector carried over, such as a nearby tuple's witness: each
+    ascent then starts from it and the standard block's eigenvector columns
+    only (all DFT columns for n <= 32, the top 8 for larger n), so the lower
+    bound still dominates max |xi| (Higham, Numer. Math. 62 (1992)).
     """
     p = as_exponent(p)
     xs = list(xs)
@@ -196,6 +203,9 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
             top = np.argsort(np.abs(x.xi))[-8:]
             eig = np.stack([_eigenvector(n, int(j)) for j in top], axis=1)
             starts.append(np.concatenate([np.eye(n, dtype=complex)[:, :8], eig, rand], axis=1))
+    if start is not None:
+        eig = slice(n, 2 * n) if n <= 32 else slice(8, 16)  # the blocks' eigenvector columns
+        starts = [np.concatenate([s[:, eig], np.reshape(start, (n, 1))], axis=1) for s in starts]
     per_block = max(1, _CHUNK_COLUMNS // starts[0].shape[1])
     out = []
     for lo in range(0, len(xs), per_block):

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
+from .cyclic import TIGHT_TOL, CyclicElement, fpzn_norm, fpzn_norms
 from .pnorm import NormEstimate, as_exponent, interpolation_upper, section_max
 from .zline import LaurentPolynomial, fpz_norm, norm_l1, sup_exact
 
@@ -500,15 +500,18 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
     and point upper is the largest upper bound over the slot's points.  On
     arcs, a grid at `resolution` is refined by _SECTION_STEPS steps of
     pnorm.section_max on [g - resolution, g + resolution] around the best
-    grid angle g.  The lower bound is the best value evaluated.  The tuples
-    of the points, of the grid and of each step are solved together.
+    grid angle g; each step starts from the witness of the best arc tuple so
+    far (fpzn_norms' `start`), then the best arc angle is solved once more
+    from the standard block at TIGHT_TOL.  The lower bound is the best value
+    evaluated.  The tuples of the points, of the grid and of each step are
+    solved together.
     """
     best, witness = -math.inf, None
 
-    def solve(angles) -> list[NormEstimate]:
+    def solve(angles, **kwargs) -> list[NormEstimate]:
         """Tuple norms at the angles; the slot keeps the best lower bound."""
         nonlocal best, witness
-        ests = fpzn_norms(_tuples_at(evaluate, angles, n), p, seed=seed)
+        ests = fpzn_norms(_tuples_at(evaluate, angles, n), p, seed=seed, **kwargs)
         for est in ests:
             if est.lower > best:
                 best, witness = est.lower, est.witness
@@ -518,9 +521,19 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
     point_upper = max((est.upper for est in solve(arcset.points)), default=-math.inf)
     grid = arcset.arc_grid(resolution)
     if grid:
-        vals = [est.lower for est in solve(grid)]
-        section_max(lambda angles: [est.lower for est in solve(angles)],
-                    float(grid[int(np.argmax(vals))]), resolution, _SECTION_STEPS)
+        arc = [-math.inf, None, None]  # the best arc tuple: lower bound, angle, witness
+
+        def search(angles, **kwargs) -> list[float]:
+            ests = solve(angles, **kwargs)
+            j = int(np.argmax([est.lower for est in ests]))
+            if ests[j].lower > arc[0]:
+                arc[:] = ests[j].lower, angles[j], ests[j].witness
+            return [est.lower for est in ests]
+
+        search(grid)
+        section_max(lambda angles: search(angles, start=arc[2]),
+                    float(arc[1]), resolution, _SECTION_STEPS)
+        solve([arc[1]], tol=TIGHT_TOL)
     return best, witness, exact, point_upper
 
 
@@ -530,10 +543,10 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
     """Configuration norm of f: sup over slots of cyclic tuple norms.
 
     Point slots are exact finite maxima.  Arc slots contribute lower bounds
-    from a grid at `resolution` refined by a batched k-section search (see
-    _slot_lower) and a certified upper bound uniform over the arc from
-    interpolation; a full infinity slot contributes the bilateral
-    convolution norm bracket.
+    from a grid at `resolution` refined by a batched k-section search from
+    carried starts plus one confirming solve (see _slot_lower), and a
+    certified upper bound uniform over the arc from interpolation; a full
+    infinity slot contributes the bilateral convolution norm bracket.
     """
     p = as_exponent(p)
     if resolution <= 0:

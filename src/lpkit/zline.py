@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
+from .cyclic import TIGHT_TOL, CyclicElement, fpzn_norm, fpzn_norms
 from .pnorm import NormEstimate, as_exponent, interpolation_upper, section_max
 
 __all__ = [
@@ -161,7 +161,7 @@ def cyclic_lower(f: LaurentPolynomial, n: int, p) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return fpzn_norm(f.samples(n), p, tol=1e-12, restarts=64).lower
+    return fpzn_norm(f.samples(n), p, tol=TIGHT_TOL, restarts=64).lower
 
 
 def _schedule(n_max: int) -> list[int]:

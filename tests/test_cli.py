@@ -212,6 +212,20 @@ class TestSweep:
                        "--p-grid", "2:1:0.5", "--seed", "0")
         assert rc == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("grid", ["1:inf:1", "1:nan:1", "1:1e9:1e-9"])
+    def test_unbounded_grid_refused(self, files, capsys, monkeypatch, grid):
+        import lpkit.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("the grid must be refused before any point is built")
+
+        # the parser rounds each point it builds; refusing that keeps a
+        # regression from appending until memory runs out
+        monkeypatch.setattr(cli, "round", refuse, raising=False)
+        rc, out, err = run(capsys, "sweep", "--kind", "zn", "--in", files["xi.json"],
+                           "--p-grid", grid, "--seed", "0")
+        assert rc == EXIT_SCHEMA and out == "" and "--p-grid" in err
+
     def test_both_grids_rejected(self, files, capsys):
         rc, _, _ = run(capsys, "sweep", "--kind", "z", "--in", files["poly.json"],
                        "--p-grid", "1:2:0.5", "--n-grid", "2,4", "--seed", "0")

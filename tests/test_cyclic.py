@@ -15,7 +15,7 @@ from lpkit.cyclic import (
     restrict,
     rotate,
 )
-from lpkit.pnorm import default_starts, opnorm, opnorm_oracle
+from lpkit.pnorm import default_starts, opnorm, opnorm_oracle, pnorm
 
 from conftest import random_laurent, random_unimodular
 
@@ -201,6 +201,31 @@ class TestFpznNorms:
         for p in (1.0, 2.0):
             self._assert_same(fpzn_norms(xs, p), [fpzn_norm(x, p) for x in xs])
         assert fpzn_norms([], 1.5) == []
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 40])
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0])
+    def test_carried_start_keeps_eigenvector_value(self, rng, n, p):
+        # a circulant with nonnegative coefficients has norm xi_0 = max |xi|,
+        # reached at the constant eigenvector; the start block keeps that column
+        xs = [CyclicElement(n, np.fft.ifft(rng.random(n)) * n) for _ in range(4)]
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for a, b in zip(fpzn_norms(xs, p, seed=1, start=start), fpzn_norms(xs, p, seed=1)):
+            assert a.lower == b.lower and a.upper == b.upper
+
+    @pytest.mark.parametrize("n", [3, 6, 40])
+    @pytest.mark.parametrize("p", [1.25, 3.0])
+    def test_carried_start_witness(self, rng, n, p):
+        def value(x, w):
+            return pnorm(circulant_of(x) @ w, p) / pnorm(w, p)
+
+        xs = self._elements(rng, n, 3)
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for x, est in zip(xs, fpzn_norms(xs, p, seed=1, start=start)):
+            # the ascent from the carried start never ends below where it began,
+            # and the witness reproduces the value reached
+            assert est.lower >= value(x, start) * (1 - 1e-14)
+            assert value(x, est.witness) == pytest.approx(est.lower, rel=1e-13)
+            assert est.lower >= np.max(np.abs(x.xi)) * (1 - 1e-14)
 
     def test_orders_must_agree(self, rng):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+from lpkit.cyclic import TIGHT_TOL
 from lpkit.specconf import (
     ArcSet,
     EmptyMeetError,
@@ -355,19 +356,55 @@ class TestFpsigmaNorm:
 
         def counting(xs, p, **kwargs):
             ests = real(xs, p, **kwargs)
-            calls.append(ests)
+            calls.append((ests, kwargs))
             return ests
 
         monkeypatch.setattr(specconf, "fpzn_norms", counting)
         f = random_laurent(rng, span=3)
         arcset = ArcSet((0, Fr(1, 2)), ((0.1, 0.15), (0.6, 0.65)))
         est = fpsigma_norm(f, SpectralConfiguration({2: arcset}), 3, seed=0)
-        # the points, the grid, then ten k-section steps of eight angles each
+        # the points, the grid, ten k-section steps of eight angles each, then
+        # the best arc angle once more at the tight tolerance
         grid = len(arcset.arc_grid(1.0 / 2048))
-        assert [len(ests) for ests in calls] == [2, grid] + [8] * 10
-        best = max((e for ests in calls for e in ests), key=lambda e: e.lower)
+        assert [len(ests) for ests, _ in calls] == [2, grid] + [8] * 10 + [1]
+        # only the steps start from a carried witness
+        carried = [kwargs.get("start") is not None for _, kwargs in calls]
+        assert carried == [False, False] + [True] * 10 + [False]
+        assert calls[-1][1].get("tol") == TIGHT_TOL
+        best = max((e for ests, _ in calls for e in ests), key=lambda e: e.lower)
         assert est.lower == best.lower
         assert np.array_equal(est.witness, best.witness)
+
+    # fpsigma_norm brackets at p = 1.25, 1.5, 3 on the six configurations that
+    # test_arc_slot_replay draws, recorded while every step started from the
+    # standard block: carried starts may only tighten them
+    _REPLAY = [
+        ((3.046738549923822, 4.087241597937124), (3.03435881037835, 3.9567576502694655),
+         (3.0343588103783494, 3.956757650269466)),
+        ((4.232722321405375, 4.888543170784454), (4.232722321405375, 4.606470433943885),
+         (4.232722321405375, 4.606470433943885)),
+        ((3.661529135015885, 5.220559819362089), (3.6615291350158845, 4.960664716315236),
+         (3.661529135015884, 4.960664716315236)),
+        ((3.270197476290518, 4.6671453069411815), (3.2701909018522635, 4.651361614377061),
+         (3.270190901852264, 4.651361614377061)),
+        ((2.1144040472578327, 2.1153406951146025), (2.1144040472578314, 2.115340695115167),
+         (2.1144040472578323, 2.1153406951151665)),
+        ((3.5693204974030306, 6.588731560278581), (3.5693204974030275, 6.319310281572521),
+         (3.5693204974030266, 6.319310281572521)),
+    ]
+
+    def test_arc_slot_replay(self):
+        rng = np.random.default_rng(4242)
+        for brackets in self._REPLAY:
+            f = random_laurent(rng, span=int(rng.integers(2, 7)))
+            n = int(rng.integers(2, 7))
+            length = float(rng.choice([0.002, 0.01, 0.03, 0.08])) / n
+            start = rng.random() / n
+            arcset = ArcSet(arcs=tuple((start + j / n, start + j / n + length) for j in range(n)))
+            for p, (lower, upper) in zip((1.25, 1.5, 3), brackets):
+                est = fpsigma_norm(f, SpectralConfiguration({n: arcset}), p, seed=1)
+                assert est.lower >= lower * (1 - 1e-15), (n, p)
+                assert est.upper <= upper, (n, p)
 
     def test_arc_slot_refinement_precision(self, rng):
         # at order 1 and p = 2 the tuple norm is |f|; the arc holds the peak of
