@@ -124,7 +124,9 @@ def _circulant_matmats(fhat: np.ndarray):
         sym[1] = np.conj(sym[0])
 
     def apply(V: np.ndarray, F: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(V, axis=0) * F, axis=0)
+        W = np.fft.fft(V, axis=0)
+        W *= F
+        return np.fft.ifft(W, axis=0)
 
     return (lambda V: apply(V, sym[0])), (lambda V: apply(V, sym[1])), select
 
@@ -151,8 +153,9 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
                incumbent: float = 0.0, start=None) -> list[NormEstimate]:
     """fpzn_norm of each of several elements of one order, solved together.
 
-    Every element gets the bracket it gets alone, bit for bit; the Boyd
-    ascents run as groups of one block, at most _CHUNK_COLUMNS columns each.
+    Every element gets the bracket it gets alone, bit for bit: coefficients,
+    FFT symbols, l1 and sup norms take one row-batched numpy call each, and
+    the Boyd ascents run as groups of one block, at most _CHUNK_COLUMNS columns.
     `incumbent` is a lower bound the caller already holds (see boyd_lower):
     an ascent that is not on pace to pass it stops early, so with an
     incumbent above 0 an element's own lower bound may fall below what it
@@ -170,55 +173,52 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
     n = xs[0].n
     if any(x.n != n for x in xs):
         raise ValueError("elements must share one group order")
-    coeffs = [x.coefficients() for x in xs]
+    xi = np.stack([x.xi for x in xs])
+    mod = np.abs(xi)
+    if p == 2.0:
+        return [NormEstimate(float(mod[i, j]), float(mod[i, j]), _eigenvector(n, j), "exact-p2")
+                for i, j in enumerate(mod.argmax(axis=1).tolist())]
 
+    coeffs = np.fft.fft(xi, axis=1) / n  # row j: xs[j].coefficients(), bit for bit
+    n1 = np.abs(coeffs).sum(axis=1).tolist()
     if p == 1.0:
         w = np.zeros(n, dtype=complex)
         w[0] = 1.0
-        vals = [float(np.sum(np.abs(c))) for c in coeffs]
-        return [NormEstimate(val, val, w.copy(), "exact-p1") for val in vals]
-
-    if p == 2.0:
-        out = []
-        for x in xs:
-            j = int(np.argmax(np.abs(x.xi)))
-            out.append(NormEstimate(float(np.abs(x.xi[j])), float(np.abs(x.xi[j])),
-                                    _eigenvector(n, j), "exact-p2"))
-        return out
+        return [NormEstimate(val, val, w.copy(), "exact-p1") for val in n1]
 
     if n == 1:
         # a 1x1 circulant multiplies by xi_0, so its norm is |xi_0| at every p;
         # numpy's modulus, as at p = 2 (Python's abs() can differ in the last bit)
-        vals = [float(np.abs(x.xi[0])) for x in xs]
-        return [NormEstimate(val, val, np.ones(1, dtype=complex), "boyd+interp") for val in vals]
+        return [NormEstimate(val, val, np.ones(1, dtype=complex), "boyd+interp")
+                for val in mod[:, 0].tolist()]
 
+    carried = [] if start is None else [np.reshape(start, (n, 1))]
     if n <= 32:
         shared = default_starts(n, restarts, seed)
+        if carried:  # the DFT (eigenvector) columns and the carried vector
+            shared = np.concatenate([shared[:, n:2 * n]] + carried, axis=1)
         starts = [shared] * len(xs)
     else:
         rng = np.random.default_rng(seed)
         rand = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
         starts = []
-        for x in xs:
-            top = np.argsort(np.abs(x.xi))[-8:]
+        for row in mod:
+            top = np.argsort(row)[-8:]
             eig = np.stack([_eigenvector(n, int(j)) for j in top], axis=1)
-            starts.append(np.concatenate([np.eye(n, dtype=complex)[:, :8], eig, rand], axis=1))
-    if start is not None:
-        eig = slice(n, 2 * n) if n <= 32 else slice(8, 16)  # the blocks' eigenvector columns
-        starts = [np.concatenate([s[:, eig], np.reshape(start, (n, 1))], axis=1) for s in starts]
+            cols = [eig] + carried if carried else [np.eye(n, dtype=complex)[:, :8], eig, rand]
+            starts.append(np.concatenate(cols, axis=1))
+    fhat = np.fft.fft(coeffs, axis=1)  # row j: the FFT symbol of xs[j]'s circulant
+    n2 = mod.max(axis=1).tolist()
     per_block = max(1, _CHUNK_COLUMNS // starts[0].shape[1])
     out = []
     for lo in range(0, len(xs), per_block):
         block = slice(lo, lo + per_block)
-        fhat = np.stack([np.fft.fft(c) for c in coeffs[block]], axis=1)
-        matmat, rmatmat, select = _circulant_matmats(fhat)
+        matmat, rmatmat, select = _circulant_matmats(fhat[block].T)
         found = boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), p,
-                           tol=tol, groups=fhat.shape[1], select=select,
+                           tol=tol, groups=len(starts[block]), select=select,
                            incumbent=incumbent)
-        for x, c, (lower, w) in zip(xs[block], coeffs[block], found):
-            n1 = float(np.sum(np.abs(c)))
-            n2 = float(np.max(np.abs(x.xi)))
-            upper = interpolation_upper(p, n1, n2, n1)
+        for (lower, w), a, b in zip(found, n1[block], n2[block]):
+            upper = interpolation_upper(p, a, b, a)
             out.append(NormEstimate(lower, max(upper, lower), w, "boyd+interp"))
     return out
 

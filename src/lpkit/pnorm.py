@@ -16,6 +16,7 @@ and an independent coordinate-ascent oracle is provided for cross-checks.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -92,9 +93,9 @@ def _as_square_matrix(A) -> np.ndarray:
 def pnorm(x: np.ndarray, p: float, axis=None):
     """ell^p norm, overflow-safe via max factoring."""
     a = np.abs(np.asarray(x))
-    m = np.max(a, axis=axis, keepdims=axis is not None)
+    m = a.max(axis=axis, keepdims=axis is not None)
     scaled = np.divide(a, np.where(m > 0.0, m, 1.0))
-    s = np.sum(scaled**p, axis=axis) ** (1.0 / p)
+    s = (scaled**p).sum(axis=axis) ** (1.0 / p)
     m = m if axis is None else np.squeeze(m, axis=axis)
     return m * s
 
@@ -136,18 +137,22 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
+@functools.lru_cache(maxsize=128)
 def default_starts(n: int, restarts: int, seed: int) -> np.ndarray:
     """Start block for the ascent: basis vectors, DFT columns, then random fill.
 
     Basis and DFT starts are always present (DFT columns are eigenvectors of
     every circulant, which pins the lower bound above the spectral radius);
-    random columns top the block up to at least `restarts` total.
+    random columns top the block up to at least `restarts` total.  Built once
+    per argument triple and shared, so the array is read-only.
     """
     cols = [np.eye(n, dtype=complex), dft_matrix(n).conj()]
     n_random = max(restarts - 2 * n, 4)
     rng = np.random.default_rng(seed)
     cols.append(rng.standard_normal((n, n_random)) + 1j * rng.standard_normal((n, n_random)))
-    return np.concatenate(cols, axis=1)
+    block = np.concatenate(cols, axis=1)
+    block.flags.writeable = False
+    return block
 
 
 def _norm_and_dual(Y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -161,10 +166,10 @@ def _norm_and_dual(Y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     smallest normal float, which only matters for an all-denormal column.
     """
     a = np.abs(Y)
-    m = np.maximum(np.max(a, axis=0), _TINY)
+    m = np.maximum(a.max(axis=0), _TINY)
     r = a * (1.0 / m)
     rt = r ** (t - 1.0)
-    s = np.sum(rt * r, axis=0)
+    s = (rt * r).sum(axis=0)
     # scale y to at most 1 first: a factor 1 / |y_i| alone overflows on denormal y_i
     V = Y * (1.0 / np.maximum(m * s ** (1.0 - 1.0 / t), _TINY))
     V *= np.divide(rt, r, out=np.zeros_like(r), where=r > 1e-300)
@@ -286,7 +291,7 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
         zn, W = _norm_and_dual(Z, q)
         # duality certificate: ||z||_q <= Re<z, x> marks a stationary point,
         # where the estimate can no longer improve
-        settled |= zn <= np.real(np.sum(np.conj(Z) * X, axis=0)) * (1.0 + 10.0 * tol)
+        settled |= zn <= (np.conj(Z) * X).real.sum(axis=0) * (1.0 + 10.0 * tol)
         # degenerate columns (A^H psi = 0, as when A x = 0) stay put; the step test settles them
         X = np.where((zn > 0.0) & ~settled, W, X)
         if settled.any():
@@ -296,8 +301,8 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     else:
         freeze(slice(None), "max_iter")
     select(np.arange(groups))
-    Y = matmat(np.stack(witnesses, axis=1))
-    return [(float(pnorm(Y[:, [i]], p, axis=0)[0]), w) for i, w in enumerate(witnesses)]
+    values = pnorm(np.ascontiguousarray(matmat(np.stack(witnesses, axis=1)).T), p, axis=1)
+    return [(float(v), w) for v, w in zip(values, witnesses)]
 
 
 def opnorm(A, p, *, max_iter: int = 10_000, seed: int = 0) -> NormEstimate:

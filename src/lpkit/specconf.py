@@ -259,6 +259,17 @@ class ArcSet:
             out.extend(float(s) + float(ln) * k / (count - 1) for k in range(count))
         return out
 
+    def orbit_representatives(self, n: int) -> "ArcSet":
+        """One member of each orbit of the rotation by 1/n, for a set invariant
+        under it: the first len/n sorted points and arcs (each orbit has one in
+        [0, 1/n)); for a full set the arc [0, 1/n], or the set itself at n = 1."""
+        if self.full:
+            return self if n == 1 else ArcSet(arcs=((0, Fraction(1, n)),))
+        reps = ArcSet()
+        object.__setattr__(reps, "points", self.points[:len(self.points) // n])
+        object.__setattr__(reps, "arcs", self.arcs[:len(self.arcs) // n])
+        return reps
+
     def to_json(self) -> dict:
         return {
             "points": [float(p) for p in self.points],
@@ -497,14 +508,18 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
 
     Returns (lower bound, witness, exact, point upper) where exact means the
     slot had no arcs, so the sup is a finite max of certified point values,
-    and point upper is the largest upper bound over the slot's points.  On
-    arcs, a grid at `resolution` is refined by _SECTION_STEPS steps of
-    pnorm.section_max on [g - resolution, g + resolution] around the best
-    grid angle g; each step starts from the witness of the best arc tuple so
-    far (fpzn_norms' `start`), then the best arc angle is solved once more
-    from the standard block at TIGHT_TOL.  The lower bound is the best value
-    evaluated.  The tuples of the points, of the grid and of each step are
-    solved together.
+    and point upper is the largest upper bound over the slot's points.  The
+    tuple at a + j/n is a rotation of the one at a, with the same norm, so
+    arcs are searched over one orbit (ArcSet.orbit_representatives): a grid
+    at `resolution` is refined by _SECTION_STEPS steps of pnorm.section_max
+    on [g - resolution, g + resolution] around the best grid angle g; each
+    step starts from the witness of the best arc tuple so far (fpzn_norms'
+    `start`), then the n rotations of the best arc angle are solved from the
+    standard block at TIGHT_TOL, which restores the start diversity of n
+    rotated copies.  Points keep every rotation, since a point's value is
+    its own ascent's, with no confirmation.  The lower bound is the best
+    value evaluated; the tuples of the points, of the grid and of each step
+    are solved together.
     """
     best, witness = -math.inf, None
 
@@ -519,7 +534,7 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
 
     exact = not arcset.arcs and not arcset.full
     point_upper = max((est.upper for est in solve(arcset.points)), default=-math.inf)
-    grid = arcset.arc_grid(resolution)
+    grid = arcset.orbit_representatives(n).arc_grid(resolution)
     if grid:
         arc = [-math.inf, None, None]  # the best arc tuple: lower bound, angle, witness
 
@@ -533,8 +548,13 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
         search(grid)
         section_max(lambda angles: search(angles, start=arc[2]),
                     float(arc[1]), resolution, _SECTION_STEPS)
-        solve([arc[1]], tol=TIGHT_TOL)
+        solve([(float(arc[1]) + j / n) % 1.0 for j in range(n)], tol=TIGHT_TOL)
     return best, witness, exact, point_upper
+
+
+def _check_resolution(resolution) -> None:
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
 
 
 def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
@@ -543,14 +563,15 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
     """Configuration norm of f: sup over slots of cyclic tuple norms.
 
     Point slots are exact finite maxima.  Arc slots contribute lower bounds
-    from a grid at `resolution` refined by a batched k-section search from
-    carried starts plus one confirming solve (see _slot_lower), and a
-    certified upper bound uniform over the arc from interpolation; a full
-    infinity slot contributes the bilateral convolution norm bracket.
+    from a grid at `resolution` over one rotation orbit, refined by a
+    batched k-section search from carried starts and confirmed over the
+    best angle's n rotations (see _slot_lower), and a certified upper bound
+    uniform over the arc from interpolation; a full infinity slot
+    contributes the bilateral convolution norm bracket.  ValueError unless
+    `resolution` is finite and positive, before any solve.
     """
     p = as_exponent(p)
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    _check_resolution(resolution)
     evaluate = lambda angles: f(np.exp(2j * math.pi * angles))
 
     lower = -math.inf
@@ -595,11 +616,14 @@ def config_value(evaluate: Callable, config: SpectralConfiguration, p,
                  resolution: float = 1.0 / 2048, *, seed: int = 0) -> float:
     """Slotwise sup of cyclic tuple norms for a pointwise-defined function.
 
-    Lower-bound semantics on arc slots; exact on point slots.  This is the
-    engine behind the membership probe, which feeds piecewise-linear bump
-    functions that are not Laurent polynomials.
+    Lower-bound semantics on arc slots, searched as in fpsigma_norm (one
+    orbit, then the best angle's rotations); exact on point slots.  This is
+    the engine behind the membership probe, which feeds piecewise-linear
+    bump functions that are not Laurent polynomials.  ValueError unless
+    `resolution` is finite and positive.
     """
     p = as_exponent(p)
+    _check_resolution(resolution)
     if config.maximal or config.infinity_full:
         raise ValueError("pointwise evaluation needs a finite-order configuration")
     best = 0.0

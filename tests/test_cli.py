@@ -21,6 +21,8 @@ def files(tmp_path):
     write("poly.json", {"terms": [{"m": 0, "a": [1, 0]}, {"m": 1, "a": [1, 0]}]})
     write("conf.json", {"finite": {"2": {"points": [0.0, 0.5], "arcs": [], "full": False}},
                         "infinity": "empty"})
+    write("conf_arc.json", {"finite": {"2": {"points": [], "arcs": [[0.1, 0.15], [0.6, 0.65]],
+                                              "full": False}}, "infinity": "empty"})
     write("conf_a.json", {"finite": {"1": {"points": [0.0], "arcs": [], "full": False}},
                           "infinity": "empty"})
     write("conf_b.json", {"finite": {"1": {"points": [0.5], "arcs": [], "full": False}},
@@ -86,6 +88,15 @@ class TestNorm:
     def test_schema_violation(self, files, capsys):
         rc, _, _ = run(capsys, "norm", "zn", "--p", "1", "--in", files["bad.json"])
         assert rc == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("conf", ["conf.json", "conf_arc.json"])
+    @pytest.mark.parametrize("resolution", ["nan", "inf", "-inf", "0"])
+    def test_bad_resolution_is_precondition(self, files, capsys, conf, resolution):
+        rc, out, err = run(capsys, "norm", "sigma", "--p", "3", "--seed", "0",
+                           "--in", files[conf], "--poly", files["poly.json"],
+                           f"--resolution={resolution}")
+        assert rc == EXIT_PRECONDITION and out == ""
+        assert "resolution must be finite and positive" in err
 
 
 class TestConfig:

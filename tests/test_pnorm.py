@@ -9,6 +9,7 @@ from lpkit.pnorm import (
     NormEstimate,
     as_exponent,
     boyd_lower,
+    default_starts,
     opnorm,
     opnorm_oracle,
     pnorm,
@@ -28,6 +29,18 @@ class TestAsExponent:
         for v in (0.5, -1, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 as_exponent(v)
+
+
+class TestDefaultStarts:
+    def test_shared_and_read_only(self):
+        block = default_starts(6, 32, 3)
+        assert default_starts(6, 32, 3) is block
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 2.0
+        assert np.array_equal(block[:, :6], np.eye(6))
+        other = default_starts(6, 32, 4)
+        assert other is not block and not np.array_equal(other, block)
 
 
 class TestOpnormExactPaths:

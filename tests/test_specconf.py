@@ -12,6 +12,7 @@ from lpkit.specconf import (
     canonically_equivalent,
     classify,
     closure_union,
+    config_value,
     fpsigma_norm,
     lattice_inf,
     lattice_sup,
@@ -142,6 +143,34 @@ class TestArcSet:
         arcs = ArcSet((Fr(1, 2),), ((Fr(1, 8), Fr(3, 8)), (Fr(5, 8), Fr(7, 8))))
         assert arcs.arc_grid(1 / 8) == [0.125, 0.25, 0.375, 0.625, 0.75, 0.875]
         assert ArcSet(points=(Fr(1, 2),)).arc_grid(1 / 8) == []
+
+    @pytest.mark.parametrize("arcset, n", [
+        (roots_of_unity_set(6, Fr(1, 12)), 6),
+        (ArcSet((Fr(1, 7), Fr(1, 7) + Fr(1, 3), Fr(1, 7) + Fr(2, 3)),
+                ((Fr(0), Fr(1, 12)), (Fr(1, 3), Fr(5, 12)), (Fr(2, 3), Fr(3, 4)))), 3),
+        # irrational float arcs; in the second set an arc wraps past 0, and two
+        # orbits of arcs sit beside an orbit of points
+        (ArcSet(arcs=[(a, a + 0.01) for a in np.arange(3) / 3 + (math.sqrt(2) - 1) / 3]), 3),
+        (ArcSet((PI3 / 2, PI3 / 2 + 0.5),
+                [(a, a + 0.03) for a in np.array([0, 0.27, 0.5, 0.77]) + math.e - 2]), 2),
+        (ArcSet(arcs=((Fr(9, 10), Fr(1, 10)),)), 1),
+        (ArcSet(full=True), 3),
+        (ArcSet(full=True), 1),
+    ])
+    def test_orbit_representatives(self, arcset, n):
+        SpectralConfiguration({n: arcset})  # the slot is invariant under rotation by 1/n
+        reps = arcset.orbit_representatives(n)
+        rebuilt = ArcSet()
+        for j in range(n):
+            rebuilt = rebuilt.union(reps.rotated(Fr(j, n)))
+        assert rebuilt.same_as(arcset)
+        if arcset.full:
+            assert reps.full == (n == 1) and len(reps.arcs) == (n > 1)
+        else:
+            assert len(reps.points) * n == len(arcset.points)
+            assert len(reps.arcs) * n == len(arcset.arcs)
+            # kept as stored, so their grid is the slot's own, bit for bit
+            assert reps.arcs == arcset.arcs[:len(reps.arcs)]
 
 
 class TestConfigurationBasics:
@@ -363,10 +392,11 @@ class TestFpsigmaNorm:
         f = random_laurent(rng, span=3)
         arcset = ArcSet((0, Fr(1, 2)), ((0.1, 0.15), (0.6, 0.65)))
         est = fpsigma_norm(f, SpectralConfiguration({2: arcset}), 3, seed=0)
-        # the points, the grid, ten k-section steps of eight angles each, then
-        # the best arc angle once more at the tight tolerance
-        grid = len(arcset.arc_grid(1.0 / 2048))
-        assert [len(ests) for ests, _ in calls] == [2, grid] + [8] * 10 + [1]
+        # the points, the grid of one orbit (one arc), ten k-section steps of
+        # eight angles each, then the best arc angle's two rotations at the
+        # tight tolerance
+        grid = len(ArcSet(arcs=((0.1, 0.15),)).arc_grid(1.0 / 2048))
+        assert [len(ests) for ests, _ in calls] == [2, grid] + [8] * 10 + [2]
         # only the steps start from a carried witness
         carried = [kwargs.get("start") is not None for _, kwargs in calls]
         assert carried == [False, False] + [True] * 10 + [False]
@@ -405,6 +435,38 @@ class TestFpsigmaNorm:
                 est = fpsigma_norm(f, SpectralConfiguration({n: arcset}), p, seed=1)
                 assert est.lower >= lower * (1 - 1e-15), (n, p)
                 assert est.upper <= upper, (n, p)
+
+    # fpsigma_norm brackets at p = 1.5, 3 and resolution 1/256 on full-circle
+    # slots of orders 2, 3 and 5, recorded while the grid covered the whole
+    # circle and the confirmation solved one angle
+    _FULL_CIRCLE = [
+        (2, [(0.966909319168473, 0.9669093191691177), (0.966909319168473, 0.9669093191691177)]),
+        (3, [(6.658755275931665, 6.951855493231461), (6.658755275931665, 6.951855493231461)]),
+        (5, [(3.3956870079810924, 3.3961693132255877), (3.395687007981093, 3.396169313225588)]),
+    ]
+
+    def test_full_circle_replay(self):
+        rng = np.random.default_rng(2718)
+        for n, brackets in self._FULL_CIRCLE:
+            f = random_laurent(rng, span=int(rng.integers(3, 6)))
+            cfg = SpectralConfiguration({n: ArcSet(full=True)})
+            for p, (lower, upper) in zip((1.5, 3), brackets):
+                est = fpsigma_norm(f, cfg, p, 1 / 256, seed=1)
+                assert est.lower >= lower * (1 - 1e-13), (n, p)
+                assert est.upper <= upper, (n, p)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf, 0.0, -1 / 8])
+    def test_resolution_checked_up_front(self, resolution):
+        def evaluate(angles):
+            raise AssertionError("no tuple may be evaluated")
+
+        f = LaurentPolynomial(((0, 1), (1, 1)))
+        for cfg in (points_config({2: (0, Fr(1, 2))}),
+                    SpectralConfiguration({2: ArcSet(arcs=((0.1, 0.15), (0.6, 0.65)))})):
+            with pytest.raises(ValueError, match="resolution must be finite and positive"):
+                fpsigma_norm(f, cfg, 3, resolution)
+            with pytest.raises(ValueError, match="resolution must be finite and positive"):
+                config_value(evaluate, cfg, 3, resolution)
 
     def test_arc_slot_refinement_precision(self, rng):
         # at order 1 and p = 2 the tuple norm is |f|; the arc holds the peak of
