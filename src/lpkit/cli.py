@@ -50,7 +50,7 @@ from .specconf import (
     leq,
     saturate,
 )
-from .zline import LaurentPolynomial, cyclic_lower, fpz_norm, fpz_upper
+from .zline import LaurentPolynomial, check_tol, cyclic_lower, fpz_norm, fpz_upper
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -318,8 +318,7 @@ def _cmd_sweep(args) -> int:
         else:
             if args.p is None:
                 raise SchemaError("sweep z over --n-grid needs --p")
-            if args.tol <= 0:
-                raise ValueError("tol must be positive")
+            check_tol(args.tol)
             upper = fpz_upper(f, args.p)
             for n in _parse_n_grid(args.n_grid):
                 t0 = time.perf_counter()

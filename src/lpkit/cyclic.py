@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .pnorm import (
     NormEstimate,
@@ -107,7 +106,8 @@ def circulant_of(x: CyclicElement) -> np.ndarray:
     Entry (i, j) depends only on (i - j) mod n; the generator tuple maps to
     the cyclic shift matrix.
     """
-    return scipy.linalg.circulant(x.coefficients())
+    i = np.arange(x.n)
+    return x.coefficients()[(i[:, None] - i) % x.n]
 
 
 def _circulant_matmats(fhat: np.ndarray):

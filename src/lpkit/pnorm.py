@@ -305,7 +305,7 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     return [(float(v), w) for v, w in zip(values, witnesses)]
 
 
-def opnorm(A, p, *, max_iter: int = 10_000, seed: int = 0) -> NormEstimate:
+def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
     """Certified bracket for the operator norm of A on ell^p_n.
 
     p = 1 and p = 2 are exact (column sums, largest singular value); other
@@ -328,8 +328,7 @@ def opnorm(A, p, *, max_iter: int = 10_000, seed: int = 0) -> NormEstimate:
         return NormEstimate(val, val, w, "exact-p2")
 
     starts = default_starts(n, 32, seed)
-    [(lower, w)] = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p,
-                              max_iter=max_iter)
+    [(lower, w)] = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p)
     n1, _ = _norm1(A)
     n2, _ = _norm2(A)
     upper = interpolation_upper(p, n1, n2, _norm_inf(A))

@@ -188,6 +188,11 @@ def _upper_from_sup(f: LaurentPolynomial, p, sup: float) -> float:
                                                     norm_l1(f.reversed()))
 
 
+def check_tol(tol) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
              seed: int = 0) -> NormEstimate:
     """Certified bracket for the convolution norm of f on ell^p(Z).
@@ -200,8 +205,9 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     raise it stops early.
     """
     p = as_exponent(p)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     if not f.terms:
         return NormEstimate(0.0, 0.0, np.array([1.0 + 0.0j]), "exact-p1")
 

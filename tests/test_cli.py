@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,15 @@ class TestNorm:
                            f"--resolution={resolution}")
         assert rc == EXIT_PRECONDITION and out == ""
         assert "resolution must be finite and positive" in err
+
+    @pytest.mark.parametrize("option", ["--tol=nan", "--tol=inf", "--tol=-1",
+                                        "--n-max=0", "--n-max=-3"])
+    def test_bad_tol_is_precondition(self, files, capsys, option):
+        rc, out, err = run(capsys, "norm", "z", "--p", "1.5", "--seed", "0",
+                           "--in", files["poly.json"], option)
+        assert rc == EXIT_PRECONDITION and out == ""
+        assert ("tol must be finite and positive" if option.startswith("--tol")
+                else "n_max must be >= 1") in err
 
 
 class TestConfig:
@@ -205,10 +218,12 @@ class TestSweep:
         uppers = {float(row.split(",")[3]) for row in out.strip().splitlines()[1:]}
         assert uppers == {fpz_upper(poly, 1.5)}
 
-    def test_n_grid_bad_tol(self, files, capsys):
-        rc, _, _ = run(capsys, "sweep", "--kind", "z", "--in", files["poly.json"],
-                       "--n-grid", "2,4", "--p", "1.5", "--tol", "0", "--seed", "0")
-        assert rc == EXIT_PRECONDITION
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_n_grid_bad_tol(self, files, capsys, tol):
+        rc, out, err = run(capsys, "sweep", "--kind", "z", "--in", files["poly.json"],
+                           "--n-grid", "2,4", "--p", "1.5", f"--tol={tol}", "--seed", "0")
+        assert rc == EXIT_PRECONDITION and out == ""
+        assert "tol must be finite and positive" in err
 
     def test_json_format_refused(self, files, capsys):
         args = ("sweep", "--kind", "zn", "--in", files["xi.json"], "--p-grid", "1:2:0.5",
@@ -276,3 +291,13 @@ class TestDeterminism:
     def test_dumps_17_digits(self):
         s = dumps({"x": 1 / 3, "y": [True, None, 7]})
         assert s == '{"x":0.33333333333333331,"y":[true,null,7]}'
+
+
+def test_import_loads_no_scipy():
+    # lpkit's only runtime dependency is numpy; each CLI call pays for every import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, lpkit.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "[]"

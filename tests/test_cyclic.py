@@ -46,11 +46,13 @@ class TestCirculantOf:
         assert np.allclose(C, 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]))
 
     def test_entries_depend_on_difference(self, rng):
-        n = 6
-        C = circulant_of(CyclicElement(n, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-        for i in range(n):
-            for j in range(n):
-                assert C[i, j] == pytest.approx(C[(i + 1) % n, (j + 1) % n], abs=1e-13)
+        for n in (1, 6):
+            x = CyclicElement(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            C, c = circulant_of(x), x.coefficients()
+            assert C.shape == (n, n)
+            for i in range(n):
+                for j in range(n):
+                    assert C[i, j] == c[(i - j) % n]
 
 
 class TestFpznNorm:

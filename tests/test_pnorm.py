@@ -310,17 +310,23 @@ class TestStallRule:
         second = self._counted_fpzn(monkeypatch, x, seed=3)
         assert first == second
 
+    @staticmethod
+    def _three_iterations(A):
+        n = A.shape[0]
+        boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, default_starts(n, 32, 0), 1.5,
+                   max_iter=3)
+
     def test_stop_reason_logged(self, rng, caplog):
         A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         with caplog.at_level(logging.DEBUG, logger="lpkit"):
-            opnorm(A, 1.5, seed=0, max_iter=3)
+            self._three_iterations(A)
         reasons = [r.getMessage() for r in caplog.records if r.name.startswith("lpkit")]
         assert len(reasons) == 1
         assert "(max_iter) after 3 iterations" in reasons[0]
 
     def test_silent_by_default(self, rng, capsys):
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        opnorm(A, 1.5, seed=0, max_iter=3)
+        self._three_iterations(A)
         assert capsys.readouterr() == ("", "")
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,9 +150,18 @@ class TestFpzNorm:
         assert wide.lower <= tight.lower + 1e-9
         assert tight.upper <= wide.upper + 1e-9
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            fpz_norm(poly((0, 1)), 1.5, tol=0.0)
+    @pytest.mark.parametrize("tol, n_max", [*((tol, 8) for tol in (0.0, math.nan, math.inf, -1.0)),
+                                            (1e-6, 0), (1e-6, -3)])
+    def test_bad_tol(self, tol, n_max, monkeypatch):
+        message = "n_max must be >= 1" if n_max < 1 else "tol must be finite and positive"
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking its arguments")
+
+        monkeypatch.setattr(zline, "fpzn_norms", no_solve)
+        monkeypatch.setattr(zline, "sup_exact", no_solve)
+        with pytest.raises(ValueError, match=message):
+            fpz_norm(poly((0, 1), (3, 0.5j)), 1.5, tol=tol, n_max=n_max)
 
     def test_upper_is_fpz_upper(self, rng):
         for f in [random_laurent(rng, span=s) for s in (1, 3, 6)] + [poly()]:
