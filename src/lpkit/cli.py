@@ -28,9 +28,7 @@ import numpy as np
 from . import __version__
 from .cyclic import CyclicElement, fpzn_norm
 from .lamperti import (
-    AmbiguousExponentError,
     AtomicSpace,
-    NotSpatialError,
     SpatialIsometry,
     decompose,
     fpv_norm,
@@ -97,7 +95,7 @@ def _load_json(path: str) -> dict:
 def _parse(loader, obj, what: str):
     try:
         return loader(obj)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise SchemaError(f"bad {what}: {exc}") from exc
 
 
@@ -121,15 +119,15 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: text and integers as they are,
+    floats with 17 significant digits as in dumps."""
+    lines = [header] + [",".join(str(v) if isinstance(v, (str, int)) else _fmt_float(v)
+                                 for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> dict | str:
     p = args.p
     as_exponent(p)  # p < 1 is a precondition violation, not a schema problem
     randomized = p not in (1.0, 2.0)
@@ -138,21 +136,18 @@ def _cmd_norm(args) -> int:
 
     if args.kind == "zn":
         x = _parse(CyclicElement.from_json, _load_json(args.inputs[0]), "cyclic element")
-        est = fpzn_norm(x, p, seed=seed)
-        payload = est.to_json()
+        payload = fpzn_norm(x, p, seed=seed).to_json()
     elif args.kind == "z":
         f = _parse(LaurentPolynomial.from_json, _load_json(args.inputs[0]), "polynomial")
-        est = fpz_norm(f, p, tol=args.tol, n_max=args.n_max, seed=seed)
-        payload = est.to_json()
+        payload = fpz_norm(f, p, tol=args.tol, n_max=args.n_max, seed=seed).to_json()
     elif args.kind == "sigma":
         if not args.poly:
             raise SchemaError("norm sigma needs --poly")
         config = _parse(SpectralConfiguration.from_json, _load_json(args.inputs[0]),
                         "configuration")
         f = _parse(LaurentPolynomial.from_json, _load_json(args.poly), "polynomial")
-        est = fpsigma_norm(f, config, p, resolution=args.resolution,
-                           n_max=args.n_max, seed=seed)
-        payload = est.to_json()
+        payload = fpsigma_norm(f, config, p, resolution=args.resolution,
+                               n_max=args.n_max, seed=seed).to_json()
     else:  # isometry
         if not args.poly:
             raise SchemaError("norm isometry needs --poly")
@@ -171,29 +166,17 @@ def _cmd_norm(args) -> int:
         else:
             payload = result.to_json()
 
-    if args.format == "csv":
-        if "direct" in payload:
-            header = "direct_lower,direct_upper,via_lower,via_upper,overlap"
-            row = ",".join([
-                _fmt_float(payload["direct"]["lower"]),
-                _fmt_float(payload["direct"]["upper"]),
-                _fmt_float(payload["via_sigma"]["lower"]),
-                _fmt_float(payload["via_sigma"]["upper"]),
-                "true" if payload["overlap"] else "false",
-            ])
-        else:
-            header = "lower,upper,method"
-            row = ",".join([_fmt_float(payload["lower"]), _fmt_float(payload["upper"]),
-                            payload["method"]])
-        _emit(args, header + "\n" + row + "\n")
-        return EXIT_OK
-
-    payload["config"] = _audit(args)
-    _emit(args, dumps(payload) + "\n")
-    return EXIT_OK
+    if args.format != "csv":
+        return payload
+    if "direct" in payload:
+        d, v = payload["direct"], payload["via_sigma"]
+        return _csv("direct_lower,direct_upper,via_lower,via_upper,overlap",
+                    [(d["lower"], d["upper"], v["lower"], v["upper"],
+                      "true" if payload["overlap"] else "false")])
+    return _csv("lower,upper,method", [(payload["lower"], payload["upper"], payload["method"])])
 
 
-def _cmd_config(args) -> int:
+def _cmd_config(args) -> dict:
     configs = [
         _parse(SpectralConfiguration.from_json, _load_json(path), "configuration")
         for path in args.inputs
@@ -205,29 +188,24 @@ def _cmd_config(args) -> int:
         raise SchemaError(f"config {op} needs exactly one --in file")
 
     if op == "saturate":
-        payload = {"result": saturate(configs[0]).to_json()}
-    elif op == "leq":
-        payload = {
+        return {"result": saturate(configs[0]).to_json()}
+    if op == "leq":
+        return {
             "result": leq(configs[0], configs[1]),
             "saturated_inputs": configs[0].is_saturated and configs[1].is_saturated,
         }
-    elif op == "sup":
-        payload = {"result": lattice_sup(configs).to_json()}
-    elif op == "inf":
-        payload = {"result": lattice_inf(configs).to_json()}
-    elif op == "classify":
+    if op == "sup":
+        return {"result": lattice_sup(configs).to_json()}
+    if op == "inf":
+        return {"result": lattice_inf(configs).to_json()}
+    if op == "classify":
         if args.p is None:
             raise SchemaError("config classify needs --p")
-        payload = {"result": classify(configs[0], args.p).to_json()}
-    else:  # equiv
-        payload = {"result": canonically_equivalent(configs[0], configs[1])}
-
-    payload["config"] = _audit(args)
-    _emit(args, dumps(payload) + "\n")
-    return EXIT_OK
+        return {"result": classify(configs[0], args.p).to_json()}
+    return {"result": canonically_equivalent(configs[0], configs[1])}  # equiv
 
 
-def _cmd_isom(args) -> int:
+def _cmd_isom(args) -> dict:
     obj = _load_json(args.inputs[0])
     if args.op == "decompose":
         if args.p is None:
@@ -236,21 +214,14 @@ def _cmd_isom(args) -> int:
         matrix = _parse(
             lambda o: np.array([[complex(re, im) for re, im in row] for row in o["matrix"]]),
             obj, "matrix")
-        v = decompose(matrix, space, args.p, tol=args.tol)
-        payload = {"result": v.to_json()}
-    else:
-        v = _parse(SpatialIsometry.from_json, obj, "isometry")
-        if args.op == "periods":
-            payload = {"result": periods(v).to_json()}
-        elif args.op == "trivialize":
-            g, vp = gauge_trivialize(v)
-            payload = {"result": {"gauge": [[z.real, z.imag] for z in g],
-                                  "isometry": vp.to_json()}}
-        else:  # sigma
-            payload = {"result": spectral_configuration_of(v).to_json()}
-    payload["config"] = _audit(args)
-    _emit(args, dumps(payload) + "\n")
-    return EXIT_OK
+        return {"result": decompose(matrix, space, args.p, tol=args.tol).to_json()}
+    v = _parse(SpatialIsometry.from_json, obj, "isometry")
+    if args.op == "periods":
+        return {"result": periods(v).to_json()}
+    if args.op == "trivialize":
+        g, vp = gauge_trivialize(v)
+        return {"result": {"gauge": [[z.real, z.imag] for z in g], "isometry": vp.to_json()}}
+    return {"result": spectral_configuration_of(v).to_json()}  # sigma
 
 
 _MAX_P_GRID = 10_000  # most points one --p-grid may hold
@@ -272,8 +243,6 @@ def _parse_p_grid(spec: str) -> list[float]:
     while start + k * step <= stop + 1e-12:
         out.append(round(start + k * step, 12))
         k += 1
-    if not out:
-        raise SchemaError("empty p grid")
     return out
 
 
@@ -287,7 +256,7 @@ def _parse_n_grid(spec: str) -> list[int]:
     return out
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     seed = _require_seed(args)
     if bool(args.p_grid) == bool(args.n_grid):
         raise SchemaError("declare exactly one of --p-grid or --n-grid")
@@ -325,14 +294,7 @@ def _cmd_sweep(args) -> int:
                 low = cyclic_lower(f, n, args.p)
                 ms = (time.perf_counter() - t0) * 1000.0
                 rows.append((args.p, n, low, upper, ms if args.timings else 0.0))
-
-    lines = ["p,n,lower,upper,runtime_ms"]
-    for p, n, lo, hi, ms in rows:
-        lines.append(
-            f"{_fmt_float(p)},{n},{_fmt_float(lo)},{_fmt_float(hi)},{_fmt_float(ms)}"
-        )
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _csv("p,n,lower,upper,runtime_ms", rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,16 +356,25 @@ def main(argv=None) -> int:
     try:
         if args.format not in (None, *args.formats):
             raise SchemaError(f"{args.command} emits {' or '.join(args.formats).upper()} only")
-        return args.func(args)
+        out = args.func(args)  # a JSON payload, or CSV text
+        if isinstance(out, dict):
+            out["config"] = _audit(args)
+            out = dumps(out) + "\n"
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except EmptyMeetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_MEET
-    except (NotSpatialError, AmbiguousExponentError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnorm import (
+    _CONVERGENCE_TOL,
     NormEstimate,
     as_exponent,
     boyd_lower,
@@ -42,8 +43,8 @@ __all__ = [
 
 # widest block one grouped ascent iterates; bounds its memory, not its result
 _CHUNK_COLUMNS = 4096
-# ascent tolerance for a lower bound that must not lose to convergence slack
-TIGHT_TOL = 1e-12
+# isometries are recognized up to this coordinate error
+_ISOMETRY_TOL = 1e-9
 
 
 class GapSearchError(RuntimeError):
@@ -136,7 +137,7 @@ def _eigenvector(n: int, j: int) -> np.ndarray:
     return np.exp(-2j * np.pi * j * np.arange(n) / n) / math.sqrt(n)
 
 
-def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = 1e-10,
+def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL,
               seed: int = 0) -> NormEstimate:
     """Norm of a cyclic-algebra element as an operator on ell^p_n.
 
@@ -144,12 +145,13 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = 1e-10,
     (|xi_0|, with the method string of the ascent path).  Otherwise the
     bracket comes from Boyd ascent (always seeded with the circulant's
     eigenvectors, so the lower bound dominates max |xi|) and Riesz-Thorin
-    interpolation of the exact endpoint norms.
+    interpolation of the exact endpoint norms.  `restarts` shapes the start
+    block only for n <= 32 (see fpzn_norms).
     """
     return fpzn_norms([x], p, restarts=restarts, tol=tol, seed=seed)[0]
 
 
-def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
+def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed: int = 0,
                incumbent: float = 0.0, start=None) -> list[NormEstimate]:
     """fpzn_norm of each of several elements of one order, solved together.
 
@@ -165,6 +167,11 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = 1e-10, seed: int = 0,
     ascent then starts from it and the standard block's eigenvector columns
     only (all DFT columns for n <= 32, the top 8 for larger n), so the lower
     bound still dominates max |xi| (Higham, Numer. Math. 62 (1992)).
+
+    `restarts` shapes the start block only for n <= 32 without `start`, where
+    random columns top pnorm.default_starts up to `restarts` columns; larger n
+    without `start` take 8 basis vectors, the eigenvectors of the 8 largest
+    |xi| and 16 random columns, whatever `restarts` is.
     """
     p = as_exponent(p)
     xs = list(xs)
@@ -268,31 +275,20 @@ class IsometryClassification:
     k: int | None = None
     excess: float | None = None
 
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.zeta is not None:
-            out["zeta"] = [self.zeta.real, self.zeta.imag]
-        if self.k is not None:
-            out["k"] = self.k
-        if self.excess is not None:
-            out["excess"] = self.excess
-        return out
 
-
-def classify_isometry(x: CyclicElement, p, tol: float = 1e-9, *,
-                      seed: int = 0) -> IsometryClassification:
+def classify_isometry(x: CyclicElement, p, *, seed: int = 0) -> IsometryClassification:
     """Decide whether x is an invertible isometry of the order-n algebra.
 
     For p != 2 the invertible isometries are exactly the scalar multiples of
     generator powers; the fit takes zeta = xi[0] and reads k off the phase
-    of xi[1]/xi[0], then checks all coordinates within tol.
+    of xi[1]/xi[0], then checks all coordinates within _ISOMETRY_TOL.
     """
     p = as_exponent(p)
     if not x.is_invertible:
         raise ValueError("element is not invertible")
     n = x.n
     if p == 2.0:
-        if np.all(np.abs(np.abs(x.xi) - 1.0) <= tol):
+        if np.all(np.abs(np.abs(x.xi) - 1.0) <= _ISOMETRY_TOL):
             return IsometryClassification("all-unimodular")
         sup = float(np.max(np.abs(x.xi)))
         sup_inv = float(np.max(1.0 / np.abs(x.xi)))
@@ -305,7 +301,7 @@ def classify_isometry(x: CyclicElement, p, tol: float = 1e-9, *,
         theta = float(np.angle(x.xi[1] / x.xi[0]))
         k = int(round(theta * n / (2.0 * np.pi))) % n
     model = zeta * np.exp(2j * np.pi * k * np.arange(n) / n)
-    if abs(abs(zeta) - 1.0) <= tol and np.max(np.abs(x.xi - model)) <= tol:
+    if abs(abs(zeta) - 1.0) <= _ISOMETRY_TOL and np.max(np.abs(x.xi - model)) <= _ISOMETRY_TOL:
         return IsometryClassification("isometry", zeta=zeta / abs(zeta), k=k)
     lo, lo_inv = (est.lower for est in fpzn_norms([x, x.inverse()], p, seed=seed))
     return IsometryClassification("not-isometry", excess=max(lo, lo_inv) - 1.0)
@@ -354,33 +350,10 @@ def gap_witness(n: int, d: int, p, *, seed: int = 0,
     stride = n // d
     j = np.arange(n)
 
-    def margin_of(alpha: CyclicElement) -> float:
-        return gap_margin(alpha, d, p, seed=seed)
-
-    candidates = []
-    # blocks of stride entries stepping through the d-th roots of unity
-    # (every stride restriction is then exactly a canonical generator),
-    # the same with step w_n^d, and a quadratic-phase tuple
-    block_roots = CyclicElement(n, np.exp(2j * np.pi * (j // stride) / d))
-    block_powers = CyclicElement(n, np.exp(2j * np.pi * d * (j // stride) / n))
-    quad = CyclicElement(n, np.exp(1j * np.pi * j**2 / n))
-    for cand in (block_roots, block_powers, quad):
-        candidates.extend([cand, cand.inverse()])
-
-    best: tuple[float, CyclicElement] | None = None
-    for cand in candidates:
-        m = margin_of(cand)
-        if best is None or m > best[0]:
-            best = (m, cand)
-        if m >= target_margin:
-            return cand, m
-
-    rng = np.random.default_rng(seed)
-
     def ascend(zetas: np.ndarray, ks: np.ndarray) -> tuple[float, CyclicElement]:
         angles = np.angle(zetas)
         alpha = _structured_candidate(n, d, np.exp(1j * angles), ks)
-        cur = margin_of(alpha)
+        cur = gap_margin(alpha, d, p, seed=seed)
         for _ in range(3):
             improved = False
             for b in range(stride):
@@ -390,7 +363,8 @@ def gap_witness(n: int, d: int, p, *, seed: int = 0,
                 for g in grid:
                     trial = angles.copy()
                     trial[b] = g
-                    vals.append(margin_of(_structured_candidate(n, d, np.exp(1j * trial), ks)))
+                    cand = _structured_candidate(n, d, np.exp(1j * trial), ks)
+                    vals.append(gap_margin(cand, d, p, seed=seed))
                 gi = int(np.argmax(vals))
                 if vals[gi] > cur:
                     angles[b] = grid[gi]
@@ -400,16 +374,29 @@ def gap_witness(n: int, d: int, p, *, seed: int = 0,
                 break
         return cur, _structured_candidate(n, d, np.exp(1j * angles), ks)
 
-    for trial in range(_GAP_BUDGET):
-        zetas = np.exp(2j * np.pi * rng.random(stride))
-        ks = rng.integers(0, d, size=stride) if d > 1 else np.zeros(stride, dtype=int)
-        m, alpha = ascend(zetas, ks)
-        if best is None or m > best[0]:
-            best = (m, alpha)
+    def scored():
+        """(margin, candidate) pairs, fixed candidates first, then random ones."""
+        # blocks of stride entries stepping through the d-th roots of unity
+        # (every stride restriction is then exactly a canonical generator),
+        # the same with step w_n^d, and a quadratic-phase tuple
+        for fixed in (CyclicElement(n, np.exp(2j * np.pi * (j // stride) / d)),
+                      CyclicElement(n, np.exp(2j * np.pi * d * (j // stride) / n)),
+                      CyclicElement(n, np.exp(1j * np.pi * j**2 / n))):
+            for cand in (fixed, fixed.inverse()):
+                yield gap_margin(cand, d, p, seed=seed), cand
+        rng = np.random.default_rng(seed)
+        for _ in range(_GAP_BUDGET):
+            zetas = np.exp(2j * np.pi * rng.random(stride))
+            ks = rng.integers(0, d, size=stride) if d > 1 else np.zeros(stride, dtype=int)
+            yield ascend(zetas, ks)
+
+    best = (-math.inf, None)
+    for m, alpha in scored():
         if m >= target_margin:
             return alpha, m
-
-    if best is not None and best[0] > 0.0:
+        if m > best[0]:
+            best = (m, alpha)
+    if best[0] > 0.0:
         return best[1], best[0]
     raise GapSearchError(
         f"no strict gap certified for (n={n}, d={d}, p={p}) within budget {_GAP_BUDGET}"

@@ -19,12 +19,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .pnorm import NormEstimate, as_exponent, opnorm
-from .specconf import ArcSet, SpectralConfiguration, fpsigma_norm, snap_angle
+from .specconf import (
+    ArcSet,
+    SpectralConfiguration,
+    fpsigma_norm,
+    json_flag,
+    rotation_orbits,
+    snap_angle,
+)
 from .zline import LaurentPolynomial
 
 __all__ = [
@@ -118,7 +124,7 @@ class SpatialIsometry:
             AtomicSpace(np.array(obj["weights"], dtype=float)),
             np.array([complex(re, im) for re, im in obj["h"]]),
             np.array(obj["T"], dtype=int),
-            bool(obj.get("aperiodic", False)),
+            json_flag(obj, "aperiodic"),
         )
 
 
@@ -295,11 +301,7 @@ def spectral_configuration_of(v: SpatialIsometry) -> SpectralConfiguration:
         z = cycle_phase(v, cycle)
         base = snap_angle(cmath.phase(z) / (2.0 * math.pi))
         N = cycle.length
-        if isinstance(base, Fraction):
-            pts = [(base / N + Fraction(j, N)) % 1 for j in range(N)]
-        else:
-            pts = [(base / N + j / N) % 1.0 for j in range(N)]
-        slot_points.setdefault(N, []).extend(pts)
+        slot_points.setdefault(N, []).extend(rotation_orbits([base / N], N))
     slots = {N: ArcSet(tuple(pts)) for N, pts in slot_points.items()}
     return SpectralConfiguration(slots, infinity_full=v.aperiodic)
 

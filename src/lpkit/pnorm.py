@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _CONVERGENCE_TOL = 1e-10
+# ascent tolerance for a lower bound that must not lose to convergence slack
+TIGHT_TOL = 1e-12
 # stagnant iterations after which boyd_lower stops (defined in its docstring)
 _STALL_ITERS = 50
 _TINY = np.finfo(float).tiny

@@ -21,9 +21,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cyclic import TIGHT_TOL, CyclicElement, fpzn_norm, fpzn_norms
-from .pnorm import NormEstimate, as_exponent, interpolation_upper, section_max
-from .zline import LaurentPolynomial, fpz_norm, norm_l1, sup_exact
+from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
+from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, section_max
+from .zline import LaurentPolynomial, _upper_from_sup, fpz_norm, sup_exact
 
 __all__ = [
     "ArcSet",
@@ -90,6 +90,14 @@ def _add(a: Angle, b: Angle) -> Angle:
     return (a + b) % 1
 
 
+def rotation_orbits(bases, n: int) -> list:
+    """The orbits {b + j/n} of the rotation by 1/n, one after another:
+    _add(b, j/n), exact for exact b.  Float bases take _add's float branch
+    written out, as arc grids pass thousands of them."""
+    return [_add(b, Fraction(j, n)) if isinstance(b, Fraction) else (float(b) + j / n) % 1
+            for b in bases for j in range(n)]
+
+
 def _circ_dist(a: Angle, b: Angle) -> float:
     d = abs(float(a) - float(b)) % 1.0
     return min(d, 1.0 - d)
@@ -146,7 +154,7 @@ class ArcSet:
                     a, b, c, d = _exact_or_float(sl, lnl, s0, ln0)
                     merged = merged[1:-1] + [(sl, max(a + b, c + d + 1) - a)]
             total = sum(float(ln) for _, ln in merged)
-            if total >= 1.0 - _ANGLE_TOL or any(float(ln) >= 1.0 - _ANGLE_TOL for _, ln in merged):
+            if total >= 1.0 - _ANGLE_TOL:
                 full = True
                 merged = []
             raw = merged
@@ -282,8 +290,16 @@ class ArcSet:
         return cls(
             tuple(obj.get("points", ())),
             tuple((a, b) for a, b in obj.get("arcs", ())),
-            bool(obj.get("full", False)),
+            json_flag(obj, "full"),
         )
+
+
+def json_flag(obj: dict, key: str) -> bool:
+    """obj[key] if it is a JSON boolean, False if absent; ValueError otherwise."""
+    flag = obj.get(key, False)
+    if not isinstance(flag, bool):
+        raise ValueError(f"{key!r} must be true or false, got {flag!r}")
+    return flag
 
 
 def _arc_list_contains(arcs, a) -> bool:
@@ -300,8 +316,7 @@ def _arc_list_contains(arcs, a) -> bool:
 
 def roots_of_unity_set(n: int, base: Angle = Fraction(0)) -> ArcSet:
     """The orbit {base + j/n} as an ArcSet (rotation-by-1/n invariant)."""
-    base = snap_angle(base)
-    return ArcSet(tuple(_add(base, Fraction(j, n)) for j in range(n)))
+    return ArcSet(tuple(rotation_orbits([snap_angle(base)], n)))
 
 
 @dataclass(frozen=True)
@@ -371,11 +386,14 @@ class SpectralConfiguration:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralConfiguration":
-        if obj.get("maximal", False):
+        if json_flag(obj, "maximal"):
             return cls(maximal=True)
+        infinity = obj.get("infinity", "empty")
+        if infinity not in ("full", "empty"):
+            raise ValueError(f"'infinity' must be \"full\" or \"empty\", got {infinity!r}")
         return cls(
             {int(n): ArcSet.from_json(s) for n, s in obj.get("finite", {}).items()},
-            obj.get("infinity", "empty") == "full",
+            infinity == "full",
         )
 
 
@@ -497,9 +515,8 @@ def _tuples_at(evaluate: Callable, bases, n: int) -> list[CyclicElement]:
 
     One `evaluate` call takes the angles of all tuples, flattened.
     """
-    angles = [float((b + Fraction(j, n)) % 1) if isinstance(b, Fraction)
-              else (float(b) + j / n) % 1.0 for b in bases for j in range(n)]
-    return [CyclicElement(n, xi) for xi in evaluate(np.array(angles)).reshape(-1, n)]
+    angles = np.array(rotation_orbits(bases, n), dtype=float)
+    return [CyclicElement(n, xi) for xi in evaluate(angles).reshape(-1, n)]
 
 
 def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float,
@@ -548,7 +565,7 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
         search(grid)
         section_max(lambda angles: search(angles, start=arc[2]),
                     float(arc[1]), resolution, _SECTION_STEPS)
-        solve([(float(arc[1]) + j / n) % 1.0 for j in range(n)], tol=TIGHT_TOL)
+        solve(rotation_orbits([float(arc[1])], n), tol=TIGHT_TOL)
     return best, witness, exact, point_upper
 
 
@@ -580,17 +597,13 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
     method = "exact-p1" if p == 1.0 else ("exact-p2" if p == 2.0 else "boyd+interp")
     all_exact = True
 
-    l1 = norm_l1(f)
-    sup_cert = sup_exact(f)[0] * (1.0 + 1e-12)
-    arc_upper = interpolation_upper(p, l1, sup_cert, norm_l1(f.reversed()))
+    arc_upper = _upper_from_sup(f, p, sup_exact(f)[0] * (1.0 + 1e-12))
 
     slots = {} if config.maximal else config.finite_slots
     for n, arcset in slots.items():
         lo, wit, exact, point_upper = _slot_lower(evaluate, arcset, n, p, resolution, seed)
         if lo > lower:
-            lower = lo
-            if wit is not None:
-                witness = wit
+            lower, witness = lo, wit
         if exact:
             slot_upper = point_upper
         else:
@@ -605,8 +618,6 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
         upper = max(upper, est.upper)
         all_exact = all_exact and est.upper - est.lower <= 1e-10 * max(1.0, est.lower)
 
-    if lower == -math.inf:
-        lower = 0.0
     if not all_exact and method.startswith("exact"):
         method = "boyd+interp"
     return NormEstimate(lower, max(upper, lower), witness, method)
@@ -643,9 +654,6 @@ class ProbeResult:
 
     verdict: str
     trace: tuple[tuple[int, float], ...]
-
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "trace": [[k, v] for k, v in self.trace]}
 
 
 def _probe_witness(n: int, relevant_divisors: list[int], p, margin: float,
@@ -699,8 +707,7 @@ def membership_probe(t, n: int, config: SpectralConfiguration, p,
     relevant = sorted({math.gcd(m, n) for m in config.finite_slots} - {n})
     alpha, _ = _probe_witness(n, relevant, p, margin, seed)
 
-    centers = [float(_add(t, Fraction(j, n) if isinstance(t, Fraction) else j / n))
-               for j in range(n)]
+    centers = [float(c) for c in rotation_orbits([t], n)]
 
     def bump_function(k: int) -> Callable:
         radius = 1.0 / (2.0 * k * n)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import TIGHT_TOL, CyclicElement, fpzn_norm, fpzn_norms
-from .pnorm import NormEstimate, as_exponent, interpolation_upper, section_max
+from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
+from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, interpolation_upper, section_max
 
 __all__ = [
     "LaurentPolynomial",
@@ -117,8 +117,10 @@ def sup_exact(f: LaurentPolynomial) -> tuple[float, complex]:
 
     |f|^2 is a real trigonometric polynomial; its derivative's roots are the
     eigenvalues of a companion matrix, so all interior extrema are found to
-    machine precision.  Used for the exact p = 2 value and as the certified
-    endpoint in interpolation bounds.
+    machine precision.  Used for the p = 2 value and as the sup endpoint of
+    the interpolation bounds.  The value is |f| at the best candidate in
+    floating point, not rounded outward, so it can sit below the true sup by
+    roundoff: fpsigma_norm pads it by a relative 1e-12, fpz_upper does not.
     """
     if not f.terms:
         return 0.0, 1.0 + 0.0j
@@ -183,7 +185,8 @@ def fpz_upper(f: LaurentPolynomial, p) -> float:
 
 
 def _upper_from_sup(f: LaurentPolynomial, p, sup: float) -> float:
-    """fpz_upper at p != 1, given sup |f|."""
+    """Riesz-Thorin bound on f's convolution norm on ell^p(Z) from sup |f|
+    (ell^1 at p = 1, the sup at p = 2); fpz_upper at p != 1."""
     return sup if p == 2.0 else interpolation_upper(p, norm_l1(f), sup,
                                                     norm_l1(f.reversed()))
 

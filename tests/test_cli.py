@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from lpkit.cli import EXIT_EMPTY_MEET, EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, dumps, main
-from lpkit.zline import LaurentPolynomial, fpz_upper
+from lpkit.zline import LaurentPolynomial, fpz_norm, fpz_upper
 
 
 @pytest.fixture
@@ -110,6 +110,28 @@ class TestNorm:
         assert rc == EXIT_PRECONDITION and out == ""
         assert ("tol must be finite and positive" if option.startswith("--tol")
                 else "n_max must be >= 1") in err
+
+    def test_csv_one_bracket(self, files, capsys):
+        args = ("norm", "z", "--p", "1.5", "--seed", "0", "--n-max", "8",
+                "--in", files["poly.json"])
+        rc, out, _ = run(capsys, *args)
+        payload = json.loads(out)
+        rc_csv, csv, _ = run(capsys, *args, "--format", "csv")
+        assert rc == rc_csv == EXIT_OK
+        row = f"{payload['lower']:.17g},{payload['upper']:.17g},{payload['method']}"
+        assert csv == "lower,upper,method\n" + row + "\n"
+
+    def test_csv_both_modes(self, files, capsys):
+        args = ("norm", "isometry", "--p", "3", "--mode", "both", "--seed", "7",
+                "--in", files["v.json"], "--poly", files["poly.json"])
+        rc, out, _ = run(capsys, *args)
+        payload = json.loads(out)
+        rc_csv, csv, _ = run(capsys, *args, "--format", "csv")
+        assert rc == rc_csv == EXIT_OK and payload["overlap"] is True
+        row = ",".join(f"{payload[side][end]:.17g}" for side in ("direct", "via_sigma")
+                       for end in ("lower", "upper"))
+        assert csv == ("direct_lower,direct_upper,via_lower,via_upper,overlap\n"
+                       + row + ",true\n")
 
 
 class TestConfig:
@@ -252,10 +274,92 @@ class TestSweep:
                            "--p-grid", grid, "--seed", "0")
         assert rc == EXIT_SCHEMA and out == "" and "--p-grid" in err
 
+    def test_z_p_grid(self, files, capsys):
+        rc, out, _ = run(capsys, "sweep", "--kind", "z", "--in", files["poly.json"],
+                         "--p-grid", "1:2:0.5", "--n-max", "8", "--seed", "0")
+        assert rc == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "p,n,lower,upper,runtime_ms" and len(lines) == 4
+        poly = LaurentPolynomial(((0, 1.0), (1, 1.0)))  # poly.json
+        for line, p in zip(lines[1:], (1.0, 1.5, 2.0)):
+            est = fpz_norm(poly, p, n_max=8, seed=0)
+            assert line == f"{p:.17g},8,{est.lower:.17g},{est.upper:.17g},0"
+
     def test_both_grids_rejected(self, files, capsys):
         rc, _, _ = run(capsys, "sweep", "--kind", "z", "--in", files["poly.json"],
                        "--p-grid", "1:2:0.5", "--n-grid", "2,4", "--seed", "0")
         assert rc == EXIT_SCHEMA
+
+
+# command lines that name a missing or surplus option, and the message each refusal gives
+_SCHEMA_REFUSALS = [
+    (("norm", "sigma", "--p", "1", "--in", "conf.json"), "norm sigma needs --poly"),
+    (("norm", "isometry", "--p", "1", "--in", "v.json"), "norm isometry needs --poly"),
+    (("config", "leq", "--in", "conf.json"), "config leq needs exactly two --in files"),
+    (("config", "equiv", "--in", "conf.json"), "config equiv needs exactly two --in files"),
+    (("config", "saturate", "--in", "conf.json", "--in", "conf_a.json"),
+     "config saturate needs exactly one --in file"),
+    (("config", "classify", "--p", "3", "--in", "conf.json", "--in", "conf_a.json"),
+     "config classify needs exactly one --in file"),
+    (("config", "classify", "--in", "conf.json"), "config classify needs --p"),
+    (("isom", "decompose", "--in", "mat.json"), "isom decompose needs --p"),
+    (("sweep", "--kind", "zn", "--in", "xi.json", "--n-grid", "2,4", "--seed", "0"),
+     "sweep zn varies p; use --p-grid"),
+    (("sweep", "--kind", "z", "--in", "poly.json", "--n-grid", "2,4", "--seed", "0"),
+     "sweep z over --n-grid needs --p"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _SCHEMA_REFUSALS,
+                         ids=[" ".join(argv[:2]) + f"-{i}"
+                              for i, (argv, _) in enumerate(_SCHEMA_REFUSALS)])
+def test_schema_refusal(files, capsys, argv, message):
+    rc, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert rc == EXIT_SCHEMA and out == ""
+    assert err == f"error: {message}\n"
+
+
+_V = {"weights": [1, 1], "h": [[1, 0], [1, 0]], "T": [1, 0]}
+_ARC = {"points": [], "arcs": [[0.1, 0.15], [0.6, 0.65]]}
+
+
+# flags that are not JSON booleans (nor "full"/"empty" for infinity) and configurations
+# that are not JSON objects: each is refused, never read as some other value
+@pytest.mark.parametrize("command,obj,message", [
+    pytest.param("config classify --p 3", {"finite": {}, "infinity": "full", "maximal": "false"},
+                 "'maximal' must be true or false, got 'false'", id="maximal-string"),
+    pytest.param("config classify --p 3", {"finite": {}, "infinity": "full", "maximal": 0},
+                 "'maximal' must be true or false, got 0", id="maximal-int"),
+    pytest.param("config saturate", {"finite": {"2": _ARC}, "infinity": "Full"},
+                 "'infinity' must be \"full\" or \"empty\", got 'Full'", id="infinity-case"),
+    pytest.param("config saturate", {"finite": {"2": _ARC}, "infinity": True},
+                 "'infinity' must be \"full\" or \"empty\", got True", id="infinity-bool"),
+    pytest.param("config saturate", {"finite": {"2": {**_ARC, "full": "false"}}},
+                 "'full' must be true or false, got 'false'", id="full-string"),
+    pytest.param("isom sigma", {**_V, "aperiodic": "false"},
+                 "'aperiodic' must be true or false, got 'false'", id="aperiodic-string"),
+    pytest.param("isom periods", {**_V, "aperiodic": 1},
+                 "'aperiodic' must be true or false, got 1", id="aperiodic-int"),
+    pytest.param("config saturate", [], "bad configuration", id="config-list"),
+    pytest.param("config saturate", {"finite": {"2": 5}}, "bad configuration", id="slot-int"),
+])
+def test_malformed_flags_are_schema_errors(capsys, tmp_path, command, obj, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *command.split(), "--in", str(path))
+    assert rc == EXIT_SCHEMA and out == ""
+    assert err.startswith("error: bad ") and message in err
+
+
+def test_json_flags_read_as_booleans(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"finite": {"2": {**_ARC, "full": True}}, "maximal": False}))
+    rc, out, _ = run(capsys, "config", "classify", "--p", "3", "--in", str(path))
+    assert rc == EXIT_OK and json.loads(out)["result"] == {
+        "kind": "continuous", "order": 2, "isometric_to_sup": False}
+    path.write_text(json.dumps({**_V, "aperiodic": True}))
+    rc, out, _ = run(capsys, "isom", "sigma", "--in", str(path))
+    assert rc == EXIT_OK and json.loads(out)["result"]["infinity"] == "full"
 
 
 class TestDeterminism:

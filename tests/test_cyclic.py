@@ -335,6 +335,17 @@ class TestClassifyIsometry:
         res = classify_isometry(CyclicElement(3, [1, 1j, -1]), 2)
         assert res.kind == "all-unimodular"
 
+    @pytest.mark.parametrize("xi,kind,excess", [
+        ([1, 1j, -1, (1 + 1e-10) * np.exp(0.3j)], "all-unimodular", None),
+        ([2, 0.5j, 1], "not-isometry", 1.0),  # sup 2 and 1/min 2 tie
+        ([0.25, -1], "not-isometry", 3.0),  # 1/min wins
+        ([1.5, 1j, -1], "not-isometry", 0.5),  # sup wins
+    ])
+    def test_p2_excess_is_sup_or_inverse_sup(self, xi, kind, excess):
+        res = classify_isometry(CyclicElement(len(xi), xi), 2)
+        assert res.kind == kind and res.excess == excess
+        assert res.zeta is None and res.k is None
+
     def test_noninvertible_rejected(self):
         with pytest.raises(ValueError):
             classify_isometry(CyclicElement(2, [1, 0]), 1)

@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from lpkit.cyclic import TIGHT_TOL
+from lpkit.pnorm import TIGHT_TOL
 from lpkit.specconf import (
     ArcSet,
     EmptyMeetError,
