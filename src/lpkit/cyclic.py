@@ -51,6 +51,16 @@ class GapSearchError(RuntimeError):
     """Search budget exhausted without certifying a strict norm gap."""
 
 
+def json_int(value, key: str) -> int:
+    """A JSON integer field as an int: integral numbers such as 2.0 pass;
+    booleans and fractional or non-finite numbers raise ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CyclicElement:
     """Element of the order-n cyclic convolution algebra in Gelfand coordinates."""
@@ -98,7 +108,7 @@ class CyclicElement:
     @classmethod
     def from_json(cls, obj: dict) -> "CyclicElement":
         xi = np.array([complex(re, im) for re, im in obj["xi"]])
-        return cls(int(obj["n"]), xi)
+        return cls(json_int(obj["n"], "n"), xi)
 
 
 def circulant_of(x: CyclicElement) -> np.ndarray:
@@ -132,9 +142,9 @@ def _circulant_matmats(fhat: np.ndarray):
     return (lambda V: apply(V, sym[0])), (lambda V: apply(V, sym[1])), select
 
 
-def _eigenvector(n: int, j: int) -> np.ndarray:
-    """Unit eigenvector of every order-n circulant for the j-th character."""
-    return np.exp(-2j * np.pi * j * np.arange(n) / n) / math.sqrt(n)
+def _eigenvectors(n: int, js: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of every order-n circulant for the characters js, on a new last axis."""
+    return np.exp(-2j * np.pi * js[..., None] * np.arange(n) / n) / math.sqrt(n)
 
 
 def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL,
@@ -148,19 +158,20 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = _CONVERGE
     interpolation of the exact endpoint norms.  `restarts` shapes the start
     block only for n <= 32 (see fpzn_norms).
     """
-    return fpzn_norms([x], p, restarts=restarts, tol=tol, seed=seed)[0]
+    return fpzn_norms(x.xi[None], p, restarts=restarts, tol=tol, seed=seed)[0]
 
 
-def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed: int = 0,
+def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed: int = 0,
                incumbent: float = 0.0, start=None) -> list[NormEstimate]:
-    """fpzn_norm of each of several elements of one order, solved together.
+    """fpzn_norm of each row of a (k, n) array of Gelfand coordinates, solved together.
 
-    Every element gets the bracket it gets alone, bit for bit: coefficients,
+    The array is validated once: ValueError unless it is 2-D and finite.
+    Every row gets the bracket it gets alone, bit for bit: coefficients,
     FFT symbols, l1 and sup norms take one row-batched numpy call each, and
     the Boyd ascents run as groups of one block, at most _CHUNK_COLUMNS columns.
     `incumbent` is a lower bound the caller already holds (see boyd_lower):
     an ascent that is not on pace to pass it stops early, so with an
-    incumbent above 0 an element's own lower bound may fall below what it
+    incumbent above 0 a row's own lower bound may fall below what it
     gets alone.  Only the maximum over the call and the incumbent is meant.
 
     `start` is a vector carried over, such as a nearby tuple's witness: each
@@ -174,19 +185,21 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
     |xi| and 16 random columns, whatever `restarts` is.
     """
     p = as_exponent(p)
-    xs = list(xs)
-    if not xs:
+    xi = np.asarray(xi, dtype=complex)
+    if xi.ndim != 2:
+        raise ValueError(f"expected a (k, n) coordinate array, got shape {xi.shape}")
+    if not np.isfinite(xi).all():
+        raise ValueError("coordinates must be finite")
+    k, n = xi.shape
+    if not k:
         return []
-    n = xs[0].n
-    if any(x.n != n for x in xs):
-        raise ValueError("elements must share one group order")
-    xi = np.stack([x.xi for x in xs])
     mod = np.abs(xi)
+    n2 = mod.max(axis=1).tolist()
     if p == 2.0:
-        return [NormEstimate(float(mod[i, j]), float(mod[i, j]), _eigenvector(n, j), "exact-p2")
-                for i, j in enumerate(mod.argmax(axis=1).tolist())]
+        return [NormEstimate(val, val, w, "exact-p2")
+                for val, w in zip(n2, _eigenvectors(n, mod.argmax(axis=1)))]
 
-    coeffs = np.fft.fft(xi, axis=1) / n  # row j: xs[j].coefficients(), bit for bit
+    coeffs = np.fft.fft(xi, axis=1) / n  # row j: the coefficients of row j, bit for bit
     n1 = np.abs(coeffs).sum(axis=1).tolist()
     if p == 1.0:
         w = np.zeros(n, dtype=complex)
@@ -204,21 +217,18 @@ def fpzn_norms(xs, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
         shared = default_starts(n, restarts, seed)
         if carried:  # the DFT (eigenvector) columns and the carried vector
             shared = np.concatenate([shared[:, n:2 * n]] + carried, axis=1)
-        starts = [shared] * len(xs)
+        starts = [shared] * k
     else:
         rng = np.random.default_rng(seed)
         rand = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
-        starts = []
-        for row in mod:
-            top = np.argsort(row)[-8:]
-            eig = np.stack([_eigenvector(n, int(j)) for j in top], axis=1)
-            cols = [eig] + carried if carried else [np.eye(n, dtype=complex)[:, :8], eig, rand]
-            starts.append(np.concatenate(cols, axis=1))
-    fhat = np.fft.fft(coeffs, axis=1)  # row j: the FFT symbol of xs[j]'s circulant
-    n2 = mod.max(axis=1).tolist()
+        eigs = np.swapaxes(_eigenvectors(n, np.argsort(mod, axis=1)[:, -8:]), 1, 2)
+        starts = [np.concatenate([eig] + carried if carried else
+                                 [np.eye(n, dtype=complex)[:, :8], eig, rand], axis=1)
+                  for eig in eigs]
+    fhat = np.fft.fft(coeffs, axis=1)  # row j: the FFT symbol of row j's circulant
     per_block = max(1, _CHUNK_COLUMNS // starts[0].shape[1])
     out = []
-    for lo in range(0, len(xs), per_block):
+    for lo in range(0, k, per_block):
         block = slice(lo, lo + per_block)
         matmat, rmatmat, select = _circulant_matmats(fhat[block].T)
         found = boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), p,
@@ -303,13 +313,14 @@ def classify_isometry(x: CyclicElement, p, *, seed: int = 0) -> IsometryClassifi
     model = zeta * np.exp(2j * np.pi * k * np.arange(n) / n)
     if abs(abs(zeta) - 1.0) <= _ISOMETRY_TOL and np.max(np.abs(x.xi - model)) <= _ISOMETRY_TOL:
         return IsometryClassification("isometry", zeta=zeta / abs(zeta), k=k)
-    lo, lo_inv = (est.lower for est in fpzn_norms([x, x.inverse()], p, seed=seed))
+    lo, lo_inv = (est.lower for est in fpzn_norms([x.xi, x.inverse().xi], p, seed=seed))
     return IsometryClassification("not-isometry", excess=max(lo, lo_inv) - 1.0)
 
 
 def gap_margin(alpha: CyclicElement, d: int, p, *, seed: int = 0) -> float:
     """Certified margin ||alpha||_lower - max_b ||restrict(alpha, d, b)||_upper."""
-    restricted = fpzn_norms([restrict(alpha, d, b) for b in range(alpha.n // d)], p, seed=seed)
+    # row b of the transposed reshape is restrict(alpha, d, b)
+    restricted = fpzn_norms(alpha.xi.reshape(d, -1).T, p, seed=seed)
     return fpzn_norm(alpha, p, seed=seed).lower - max(est.upper for est in restricted)
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cyclic import json_int
 from .pnorm import NormEstimate, as_exponent, opnorm
 from .specconf import (
     ArcSet,
@@ -123,7 +124,7 @@ class SpatialIsometry:
         return cls(
             AtomicSpace(np.array(obj["weights"], dtype=float)),
             np.array([complex(re, im) for re, im in obj["h"]]),
-            np.array(obj["T"], dtype=int),
+            [json_int(t, f"T[{i}]") for i, t in enumerate(obj["T"])],
             json_flag(obj, "aperiodic"),
         )
 

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
+from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, gap_witness
 from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, section_max
 from .zline import LaurentPolynomial, _upper_from_sup, fpz_norm, sup_exact
 
@@ -68,6 +68,8 @@ def snap_angle(a) -> Angle:
     """
     if isinstance(a, Fraction):
         return a % 1
+    if isinstance(a, bool):
+        raise ValueError(f"an angle must be a number, got {a!r}")
     if isinstance(a, int):
         return Fraction(a) % 1
     a = float(a) % 1.0
@@ -510,15 +512,6 @@ def classify(config: SpectralConfiguration, p) -> DichotomyResult:
     return DichotomyResult("continuous", n, isometric_to_sup=(p == 2.0 or n == 1))
 
 
-def _tuples_at(evaluate: Callable, bases, n: int) -> list[CyclicElement]:
-    """The order-n tuples of values at the rotates of each base angle.
-
-    One `evaluate` call takes the angles of all tuples, flattened.
-    """
-    angles = np.array(rotation_orbits(bases, n), dtype=float)
-    return [CyclicElement(n, xi) for xi in evaluate(angles).reshape(-1, n)]
-
-
 def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float,
                 seed: int) -> tuple[float, np.ndarray, bool, float]:
     """Sup of tuple norms over a slot: exact over points, searched over arcs.
@@ -541,9 +534,11 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
     best, witness = -math.inf, None
 
     def solve(angles, **kwargs) -> list[NormEstimate]:
-        """Tuple norms at the angles; the slot keeps the best lower bound."""
+        """Norms of the order-n tuples of values at the rotates of each angle, from
+        one `evaluate` call; the slot keeps the best lower bound."""
         nonlocal best, witness
-        ests = fpzn_norms(_tuples_at(evaluate, angles, n), p, seed=seed, **kwargs)
+        values = evaluate(np.array(rotation_orbits(angles, n), dtype=float))
+        ests = fpzn_norms(values.reshape(-1, n), p, seed=seed, **kwargs)
         for est in ests:
             if est.lower > best:
                 best, witness = est.lower, est.witness
@@ -659,8 +654,6 @@ class ProbeResult:
 def _probe_witness(n: int, relevant_divisors: list[int], p, margin: float,
                    seed: int) -> tuple[np.ndarray, float]:
     """Tuple alpha with all order-d restrictions of norm <= 1 and norm > 1 + margin."""
-    from .cyclic import gap_witness, restrict
-
     if n == 1:
         return np.array([1.0 + 2.0 * margin + 0.0j]), 2.0 * margin
     best: tuple[float, np.ndarray] | None = None
@@ -670,7 +663,7 @@ def _probe_witness(n: int, relevant_divisors: list[int], p, margin: float,
         scale = max(
             est.upper
             for dd in (relevant_divisors or [d])
-            for est in fpzn_norms([restrict(alpha, dd, b) for b in range(n // dd)], p, seed=seed)
+            for est in fpzn_norms(alpha.xi.reshape(dd, -1).T, p, seed=seed)
         )
         scaled = alpha.xi / scale
         gap = fpzn_norm(CyclicElement(n, scaled), p, seed=seed).lower - 1.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import CyclicElement, fpzn_norm, fpzn_norms
+from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, json_int
 from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, interpolation_upper, section_max
 
 __all__ = [
@@ -90,7 +90,8 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPolynomial":
-        return cls(tuple((int(t["m"]), complex(t["a"][0], t["a"][1])) for t in obj["terms"]))
+        return cls(tuple((json_int(t["m"], "m"), complex(t["a"][0], t["a"][1]))
+                         for t in obj["terms"]))
 
 
 def norm_l1(f: LaurentPolynomial) -> float:
@@ -230,7 +231,7 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     witness = np.array([1.0 + 0.0j])
     for n in _schedule(n_max):
         bases = (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak)
-        for est in fpzn_norms([f.samples(n, t) for t in bases], p, seed=seed,
+        for est in fpzn_norms([f.samples(n, t).xi for t in bases], p, seed=seed,
                               incumbent=lower):
             if est.lower > lower:
                 lower, witness = est.lower, est.witness

@@ -323,8 +323,9 @@ _V = {"weights": [1, 1], "h": [[1, 0], [1, 0]], "T": [1, 0]}
 _ARC = {"points": [], "arcs": [[0.1, 0.15], [0.6, 0.65]]}
 
 
-# flags that are not JSON booleans (nor "full"/"empty" for infinity) and configurations
-# that are not JSON objects: each is refused, never read as some other value
+# flags that are not JSON booleans (nor "full"/"empty" for infinity), integer fields that
+# are booleans or fractions, boolean angles and configurations that are not JSON objects:
+# each is refused, never read as some other value
 @pytest.mark.parametrize("command,obj,message", [
     pytest.param("config classify --p 3", {"finite": {}, "infinity": "full", "maximal": "false"},
                  "'maximal' must be true or false, got 'false'", id="maximal-string"),
@@ -342,6 +343,16 @@ _ARC = {"points": [], "arcs": [[0.1, 0.15], [0.6, 0.65]]}
                  "'aperiodic' must be true or false, got 1", id="aperiodic-int"),
     pytest.param("config saturate", [], "bad configuration", id="config-list"),
     pytest.param("config saturate", {"finite": {"2": 5}}, "bad configuration", id="slot-int"),
+    pytest.param("norm z --p 1", {"terms": [{"m": 0, "a": [1, 0]}, {"m": 1.5, "a": [1, 0]}]},
+                 "'m' must be an integer, got 1.5", id="m-fraction"),
+    pytest.param("config saturate", {"finite": {"1": {"points": [True]}}},
+                 "an angle must be a number, got True", id="angle-bool"),
+    pytest.param("norm zn --p 1", {"n": True, "xi": [[1, 0]]},
+                 "'n' must be an integer, got True", id="n-bool"),
+    pytest.param("isom periods", {**_V, "T": [1, 0.5]},
+                 "'T[1]' must be an integer, got 0.5", id="T-fraction"),
+    pytest.param("isom periods", {**_V, "T": [True, False]},
+                 "'T[0]' must be an integer, got True", id="T-bool"),
 ])
 def test_malformed_flags_are_schema_errors(capsys, tmp_path, command, obj, message):
     path = tmp_path / "in.json"
@@ -360,6 +371,24 @@ def test_json_flags_read_as_booleans(capsys, tmp_path):
     path.write_text(json.dumps({**_V, "aperiodic": True}))
     rc, out, _ = run(capsys, "isom", "sigma", "--in", str(path))
     assert rc == EXIT_OK and json.loads(out)["result"]["infinity"] == "full"
+
+
+def test_integral_numbers_read_as_integers(capsys, tmp_path):
+    # 2.0 is a JSON integer field's value 2, so it answers as the integer does
+    path = tmp_path / "in.json"
+    for command, obj, as_float in (
+            ("norm z --p 1", {"terms": [{"m": 0, "a": [1, 0]}, {"m": 2, "a": [1, 0]}]},
+             {"terms": [{"m": 0.0, "a": [1, 0]}, {"m": 2.0, "a": [1, 0]}]}),
+            ("norm zn --p 1", {"n": 2, "xi": [[1, 0], [0, 1]]},
+             {"n": 2.0, "xi": [[1, 0], [0, 1]]}),
+            ("isom periods", _V, {**_V, "T": [1.0, 0.0]})):
+        outs = []
+        for data in (obj, as_float):
+            path.write_text(json.dumps(data))
+            rc, out, _ = run(capsys, *command.split(), "--in", str(path))
+            assert rc == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestDeterminism:

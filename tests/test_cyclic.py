@@ -129,6 +129,10 @@ class TestFpznNorms:
         return [random_laurent(rng, span=5).samples(n) for _ in range(count)]
 
     @staticmethod
+    def _rows(xs):
+        return np.array([x.xi for x in xs])
+
+    @staticmethod
     def _assert_same(got, want):
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -157,13 +161,13 @@ class TestFpznNorms:
         xs = self._elements(rng, n, 7)
         singles = [fpzn_norm(x, p, seed=2) for x in xs]
         for size in (1, 2, 7):
-            self._assert_same(fpzn_norms(xs[:size], p, seed=2), singles[:size])
+            self._assert_same(fpzn_norms(self._rows(xs[:size]), p, seed=2), singles[:size])
         # a cap of three elements' columns splits the seven into blocks of 3, 3
         # and 1; order-1 tuples are exact and run no block
         width = 32 if n > 32 else default_starts(n, 32, 0).shape[1]
         monkeypatch.setattr(cyclic, "_CHUNK_COLUMNS", 3 * width)
         blocks = self._count_blocks(monkeypatch)
-        self._assert_same(fpzn_norms(xs, p, seed=2), singles)
+        self._assert_same(fpzn_norms(self._rows(xs), p, seed=2), singles)
         assert blocks[0] == (0 if n == 1 else 3)
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 50.0])
@@ -176,7 +180,7 @@ class TestFpznNorms:
         monkeypatch.setattr(cyclic, "boyd_lower", refuse)
         xs = [CyclicElement(1, [z]) for z in rng.standard_normal(6) + 1j * rng.standard_normal(6)]
         xs.append(CyclicElement(1, [0.0]))
-        for x, est in zip(xs, fpzn_norms(xs, p, seed=2)):
+        for x, est in zip(xs, fpzn_norms(self._rows(xs), p, seed=2)):
             # bit-equal to the exact p = 2 value, so a search over order-1
             # tuples ranks their angles alike at every p
             assert est.lower == est.upper == np.abs(x.xi[0]) == fpzn_norm(x, 2).lower
@@ -189,20 +193,20 @@ class TestFpznNorms:
         xs = self._elements(rng, 5, cyclic._CHUNK_COLUMNS // default_starts(5, 32, 0).shape[1] + 1)
         singles = [fpzn_norm(x, 3.0, seed=2) for x in xs]
         blocks = self._count_blocks(monkeypatch)
-        self._assert_same(fpzn_norms(xs, 3.0, seed=2), singles)
+        self._assert_same(fpzn_norms(self._rows(xs), 3.0, seed=2), singles)
         assert blocks[0] == 2
 
     def test_reversed_batch(self, rng):
         for n, p in ((6, 1.5), (40, 3.0)):
             xs = self._elements(rng, n, 9)
-            forward = fpzn_norms(xs, p, seed=1)
-            self._assert_same(fpzn_norms(xs[::-1], p, seed=1)[::-1], forward)
+            forward = fpzn_norms(self._rows(xs), p, seed=1)
+            self._assert_same(fpzn_norms(self._rows(xs[::-1]), p, seed=1)[::-1], forward)
 
     def test_exact_exponents_and_empty(self, rng):
         xs = self._elements(rng, 5, 4)
         for p in (1.0, 2.0):
-            self._assert_same(fpzn_norms(xs, p), [fpzn_norm(x, p) for x in xs])
-        assert fpzn_norms([], 1.5) == []
+            self._assert_same(fpzn_norms(self._rows(xs), p), [fpzn_norm(x, p) for x in xs])
+        assert fpzn_norms(np.empty((0, 5)), 1.5) == []
 
     @pytest.mark.parametrize("n", [2, 5, 6, 40])
     @pytest.mark.parametrize("p", [1.25, 1.5, 3.0])
@@ -211,7 +215,8 @@ class TestFpznNorms:
         # reached at the constant eigenvector; the start block keeps that column
         xs = [CyclicElement(n, np.fft.ifft(rng.random(n)) * n) for _ in range(4)]
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for a, b in zip(fpzn_norms(xs, p, seed=1, start=start), fpzn_norms(xs, p, seed=1)):
+        xi = self._rows(xs)
+        for a, b in zip(fpzn_norms(xi, p, seed=1, start=start), fpzn_norms(xi, p, seed=1)):
             assert a.lower == b.lower and a.upper == b.upper
 
     @pytest.mark.parametrize("n", [3, 6, 40])
@@ -222,16 +227,29 @@ class TestFpznNorms:
 
         xs = self._elements(rng, n, 3)
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for x, est in zip(xs, fpzn_norms(xs, p, seed=1, start=start)):
+        for x, est in zip(xs, fpzn_norms(self._rows(xs), p, seed=1, start=start)):
             # the ascent from the carried start never ends below where it began,
             # and the witness reproduces the value reached
             assert est.lower >= value(x, start) * (1 - 1e-14)
             assert value(x, est.witness) == pytest.approx(est.lower, rel=1e-13)
             assert est.lower >= np.max(np.abs(x.xi)) * (1 - 1e-14)
 
-    def test_orders_must_agree(self, rng):
+    @pytest.mark.parametrize("xi", [
+        pytest.param([[1.0, np.nan]], id="nan"),
+        pytest.param([[1.0, 2.0], [complex(0.0, np.inf), 1.0]], id="inf"),
+        pytest.param([1.0, 2.0], id="one-d"),
+        # rows of orders 3 and 4: an array has one order
+        pytest.param([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]], id="ragged"),
+    ])
+    def test_input_contract(self, monkeypatch, xi):
+        import lpkit.cyclic as cyclic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before checking its input")
+
+        monkeypatch.setattr(cyclic, "boyd_lower", refuse)
         with pytest.raises(ValueError):
-            fpzn_norms(self._elements(rng, 3, 1) + self._elements(rng, 4, 1), 1.5)
+            fpzn_norms(xi, 1.5)
 
 
 class TestEmbedRestrictRotate:
@@ -359,6 +377,16 @@ class TestGapWitness:
         assert margin >= 0.05
         # recomputable from scratch
         assert gap_margin(alpha, d, p) == pytest.approx(margin, rel=1e-9)
+
+    @pytest.mark.parametrize("n,d", [(3, 1), (4, 2), (6, 2), (6, 3), (8, 2)])
+    def test_margin_from_each_restriction(self, rng, n, d):
+        # gap_witness calls gap_margin too, so the check above would not see a
+        # batched restriction taken in the wrong orientation; this one solves
+        # each restrict(alpha, d, b) alone
+        alpha = CyclicElement(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = fpzn_norm(alpha, 3.0).lower - max(
+            fpzn_norm(restrict(alpha, d, b), 3.0).upper for b in range(n // d))
+        assert gap_margin(alpha, d, 3.0) == want
 
     def test_two_one_case_value(self):
         alpha, margin = gap_witness(2, 1, 1, seed=0)

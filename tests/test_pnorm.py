@@ -360,7 +360,7 @@ class TestCompaction:
             patch.setattr(cyclic, "boyd_lower", counting_boyd)
             if keep_settled:
                 TestCompaction._keep_settled(patch)
-            ests = cyclic.fpzn_norms(xs, p, seed=seed)
+            ests = cyclic.fpzn_norms(np.array([x.xi for x in xs]), p, seed=seed)
         return ests, widths
 
     @staticmethod

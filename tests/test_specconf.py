@@ -377,6 +377,25 @@ class TestFpsigmaNorm:
         assert est.upper == max(e.upper for e in calls)
         assert est.lower == max(e.lower for e in calls)
 
+    def test_no_cyclic_element_per_tuple(self, rng, monkeypatch):
+        # slot tuples go to fpzn_norms as one array, never one object each
+        from lpkit.cyclic import CyclicElement
+
+        built = [0]
+        real = CyclicElement.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            real(self)
+
+        monkeypatch.setattr(CyclicElement, "__post_init__", counting)
+        f = random_laurent(rng, span=3)
+        arcs = SpectralConfiguration({2: ArcSet((0, Fr(1, 2)), ((0.1, 0.15), (0.6, 0.65)))})
+        for cfg in (points_config({2: (0, Fr(1, 2)), 3: (Fr(1, 3), Fr(2, 3), 0)}), arcs):
+            fpsigma_norm(f, cfg, 3, seed=0)
+            config_value(lambda a: f(np.exp(2j * np.pi * a)), cfg, 3)
+        assert built[0] == 0
+
     def test_arc_slot_calls(self, rng, monkeypatch):
         import lpkit.specconf as specconf
 

@@ -231,7 +231,7 @@ class TestIncumbent:
 
     def test_zero_incumbent_is_the_default(self, rng):
         f = random_laurent(rng, span=5)
-        xs = [f.samples(48, t) for t in (1.0, np.exp(0.3j))]
+        xs = np.array([f.samples(48, t).xi for t in (1.0, np.exp(0.3j))])
         for a, b in zip(cyclic.fpzn_norms(xs, 1.5), cyclic.fpzn_norms(xs, 1.5, incumbent=0.0),
                         strict=True):
             assert a.lower == b.lower and a.upper == b.upper
