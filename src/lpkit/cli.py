@@ -18,6 +18,7 @@ output reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .cyclic import CyclicElement, fpzn_norm
+from .cyclic import CyclicElement, fpzn_norm, json_complex
 from .lamperti import (
     AtomicSpace,
     SpatialIsometry,
@@ -210,9 +211,9 @@ def _cmd_isom(args) -> dict:
     if args.op == "decompose":
         if args.p is None:
             raise SchemaError("isom decompose needs --p")
-        space = _parse(lambda o: AtomicSpace(np.array(o["weights"], dtype=float)), obj, "space")
+        space = _parse(AtomicSpace.from_json, obj, "space")
         matrix = _parse(
-            lambda o: np.array([[complex(re, im) for re, im in row] for row in o["matrix"]]),
+            lambda o: np.array([[json_complex(z, "matrix") for z in row] for row in o["matrix"]]),
             obj, "matrix")
         return {"result": decompose(matrix, space, args.p, tol=args.tol).to_json()}
     v = _parse(SpatialIsometry.from_json, obj, "isometry")
@@ -297,6 +298,7 @@ def _cmd_sweep(args) -> str:
     return _csv("p,n,lower,upper,runtime_ms", rows)
 
 
+@functools.cache  # one parser per process, built on first use (not at import: setup time)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lpkit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

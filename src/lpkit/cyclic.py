@@ -24,6 +24,7 @@ from .pnorm import (
     boyd_lower,
     default_starts,
     interpolation_upper,
+    method_of,
 )
 
 __all__ = [
@@ -59,6 +60,25 @@ def json_int(value, key: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{key!r} must be an integer, got {value!r}")
+
+
+def json_real(value, key: str) -> float:
+    """A JSON number as a float: booleans, strings, other values and integers
+    beyond the float range raise ValueError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{key!r} must be a number, got {value!r}")
+
+
+def json_complex(pair, key: str) -> complex:
+    """A JSON [re, im] pair as a complex number: ValueError unless it is a list
+    of exactly two numbers (see json_real)."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"{key!r} must be an [re, im] pair, got {pair!r}")
+    return complex(json_real(pair[0], key), json_real(pair[1], key))
 
 
 @dataclass(frozen=True)
@@ -107,7 +127,7 @@ class CyclicElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CyclicElement":
-        xi = np.array([complex(re, im) for re, im in obj["xi"]])
+        xi = np.array([json_complex(z, "xi") for z in obj["xi"]])
         return cls(json_int(obj["n"], "n"), xi)
 
 
@@ -158,15 +178,17 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = _CONVERGE
     interpolation of the exact endpoint norms.  `restarts` shapes the start
     block only for n <= 32 (see fpzn_norms).
     """
-    return fpzn_norms(x.xi[None], p, restarts=restarts, tol=tol, seed=seed)[0]
+    lower, upper, witness = fpzn_norms(x.xi[None], p, restarts=restarts, tol=tol, seed=seed)
+    return NormEstimate(float(lower[0]), float(upper[0]), witness[0], method_of(as_exponent(p)))
 
 
 def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed: int = 0,
-               incumbent: float = 0.0, start=None) -> list[NormEstimate]:
-    """fpzn_norm of each row of a (k, n) array of Gelfand coordinates, solved together.
+               incumbent: float = 0.0, start=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fpzn_norm of each row of a (k, n) array of Gelfand coordinates, solved together,
+    as arrays (lower, upper, witness) of shapes (k,), (k,) and (k, n), also for k = 0.
 
     The array is validated once: ValueError unless it is 2-D and finite.
-    Every row gets the bracket it gets alone, bit for bit: coefficients,
+    Row j gets the bracket it gets alone, bit for bit: coefficients,
     FFT symbols, l1 and sup norms take one row-batched numpy call each, and
     the Boyd ascents run as groups of one block, at most _CHUNK_COLUMNS columns.
     `incumbent` is a lower bound the caller already holds (see boyd_lower):
@@ -192,25 +214,21 @@ def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
         raise ValueError("coordinates must be finite")
     k, n = xi.shape
     if not k:
-        return []
+        return np.zeros(0), np.zeros(0), np.zeros((0, n), dtype=complex)
     mod = np.abs(xi)
-    n2 = mod.max(axis=1).tolist()
+    n2 = mod.max(axis=1)
     if p == 2.0:
-        return [NormEstimate(val, val, w, "exact-p2")
-                for val, w in zip(n2, _eigenvectors(n, mod.argmax(axis=1)))]
+        return n2, n2, _eigenvectors(n, mod.argmax(axis=1))
 
     coeffs = np.fft.fft(xi, axis=1) / n  # row j: the coefficients of row j, bit for bit
-    n1 = np.abs(coeffs).sum(axis=1).tolist()
-    if p == 1.0:
-        w = np.zeros(n, dtype=complex)
-        w[0] = 1.0
-        return [NormEstimate(val, val, w.copy(), "exact-p1") for val in n1]
+    n1 = np.abs(coeffs).sum(axis=1)
+    if p == 1.0:  # every column sums to n1, so the first basis vector attains it
+        return n1, n1, np.eye(1, n, dtype=complex).repeat(k, axis=0)
 
     if n == 1:
         # a 1x1 circulant multiplies by xi_0, so its norm is |xi_0| at every p;
         # numpy's modulus, as at p = 2 (Python's abs() can differ in the last bit)
-        return [NormEstimate(val, val, np.ones(1, dtype=complex), "boyd+interp")
-                for val in mod[:, 0].tolist()]
+        return mod[:, 0], mod[:, 0], np.ones((k, 1), dtype=complex)
 
     carried = [] if start is None else [np.reshape(start, (n, 1))]
     if n <= 32:
@@ -223,21 +241,21 @@ def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
         rand = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
         eigs = np.swapaxes(_eigenvectors(n, np.argsort(mod, axis=1)[:, -8:]), 1, 2)
         starts = [np.concatenate([eig] + carried if carried else
-                                 [np.eye(n, dtype=complex)[:, :8], eig, rand], axis=1)
+                                 [np.eye(n, 8, dtype=complex), eig, rand], axis=1)
                   for eig in eigs]
     fhat = np.fft.fft(coeffs, axis=1)  # row j: the FFT symbol of row j's circulant
     per_block = max(1, _CHUNK_COLUMNS // starts[0].shape[1])
-    out = []
+    found = []
     for lo in range(0, k, per_block):
         block = slice(lo, lo + per_block)
         matmat, rmatmat, select = _circulant_matmats(fhat[block].T)
-        found = boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), p,
-                           tol=tol, groups=len(starts[block]), select=select,
-                           incumbent=incumbent)
-        for (lower, w), a, b in zip(found, n1[block], n2[block]):
-            upper = interpolation_upper(p, a, b, a)
-            out.append(NormEstimate(lower, max(upper, lower), w, "boyd+interp"))
-    return out
+        found.append(boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), p,
+                                tol=tol, groups=len(starts[block]), select=select,
+                                incumbent=incumbent))
+    lower = np.concatenate([values for values, _ in found])
+    # Python-float powers, one tuple at a time: a numpy array power can differ in the last bit
+    upper = [interpolation_upper(p, a, b, a) for a, b in zip(n1.tolist(), n2.tolist())]
+    return lower, np.maximum(upper, lower), np.concatenate([W for _, W in found], axis=1).T
 
 
 def embed_divisor(b: CyclicElement, m: int) -> CyclicElement:
@@ -313,15 +331,15 @@ def classify_isometry(x: CyclicElement, p, *, seed: int = 0) -> IsometryClassifi
     model = zeta * np.exp(2j * np.pi * k * np.arange(n) / n)
     if abs(abs(zeta) - 1.0) <= _ISOMETRY_TOL and np.max(np.abs(x.xi - model)) <= _ISOMETRY_TOL:
         return IsometryClassification("isometry", zeta=zeta / abs(zeta), k=k)
-    lo, lo_inv = (est.lower for est in fpzn_norms([x.xi, x.inverse().xi], p, seed=seed))
-    return IsometryClassification("not-isometry", excess=max(lo, lo_inv) - 1.0)
+    lower = fpzn_norms([x.xi, x.inverse().xi], p, seed=seed)[0]
+    return IsometryClassification("not-isometry", excess=float(lower.max()) - 1.0)
 
 
 def gap_margin(alpha: CyclicElement, d: int, p, *, seed: int = 0) -> float:
     """Certified margin ||alpha||_lower - max_b ||restrict(alpha, d, b)||_upper."""
     # row b of the transposed reshape is restrict(alpha, d, b)
-    restricted = fpzn_norms(alpha.xi.reshape(d, -1).T, p, seed=seed)
-    return fpzn_norm(alpha, p, seed=seed).lower - max(est.upper for est in restricted)
+    restricted = fpzn_norms(alpha.xi.reshape(d, -1).T, p, seed=seed)[1]
+    return fpzn_norm(alpha, p, seed=seed).lower - float(restricted.max())
 
 
 def _structured_candidate(n: int, d: int, zetas: np.ndarray, ks: np.ndarray) -> CyclicElement:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import json_int
+from .cyclic import json_complex, json_int, json_real
 from .pnorm import NormEstimate, as_exponent, opnorm
 from .specconf import (
     ArcSet,
@@ -79,6 +79,10 @@ class AtomicSpace:
     def n_atoms(self) -> int:
         return int(self.weights.size)
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "AtomicSpace":
+        return cls(np.array([json_real(w, "weights") for w in obj["weights"]]))
+
 
 @dataclass(frozen=True)
 class SpatialIsometry:
@@ -122,8 +126,8 @@ class SpatialIsometry:
     @classmethod
     def from_json(cls, obj: dict) -> "SpatialIsometry":
         return cls(
-            AtomicSpace(np.array(obj["weights"], dtype=float)),
-            np.array([complex(re, im) for re, im in obj["h"]]),
+            AtomicSpace.from_json(obj),
+            np.array([json_complex(z, "h") for z in obj["h"]]),
             [json_int(t, f"T[{i}]") for i, t in enumerate(obj["T"])],
             json_flag(obj, "aperiodic"),
         )

@@ -83,6 +83,11 @@ class NormEstimate:
         }
 
 
+def method_of(p: float) -> str:
+    """The method string of a bracket at exponent p: exact at p = 1 and p = 2."""
+    return {1.0: "exact-p1", 2.0: "exact-p2"}.get(p, "boyd+interp")
+
+
 def _as_square_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
@@ -189,7 +194,7 @@ def _narrow(running, settled) -> np.ndarray:
 def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
                tol: float = _CONVERGENCE_TOL, max_iter: int = 10_000, *,
                groups: int = 1, select=lambda groups: None,
-               incumbent: float = 0.0) -> list[tuple[float, np.ndarray]]:
+               incumbent: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Monotone lower bound on an operator p-norm by Boyd's ascent.
 
     `matmat`/`rmatmat` apply A and A^H to column blocks.  Each column of
@@ -222,9 +227,9 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     group stops on its own rule, exactly as it would alone, and leaves the
     block.  Whenever the block changes, `select(g)` names the group
     (operator) of each of its columns, which `matmat`/`rmatmat` then apply
-    (one group needs no `select`).  Returns, per group, the best value
-    found and its witness column (unit p-norm), re-evaluated at the end in
-    one block of one column per group, after `select(range(groups))`.
+    (one group needs no `select`).  Returns arrays (values, W): column g of W,
+    shape (n, groups), is group g's best column at unit p-norm, and values[g]
+    its value, re-evaluated at the end in the one block W, after `select(range(groups))`.
     """
     q = p / (p - 1.0)
     X = starts.astype(complex, copy=True)
@@ -303,8 +308,8 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     else:
         freeze(slice(None), "max_iter")
     select(np.arange(groups))
-    values = pnorm(np.ascontiguousarray(matmat(np.stack(witnesses, axis=1)).T), p, axis=1)
-    return [(float(v), w) for v, w in zip(values, witnesses)]
+    W = np.stack(witnesses, axis=1)
+    return pnorm(np.ascontiguousarray(matmat(W).T), p, axis=1), W
 
 
 def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
@@ -330,11 +335,11 @@ def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
         return NormEstimate(val, val, w, "exact-p2")
 
     starts = default_starts(n, 32, seed)
-    [(lower, w)] = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p)
+    [lower], W = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p)
     n1, _ = _norm1(A)
     n2, _ = _norm2(A)
     upper = interpolation_upper(p, n1, n2, _norm_inf(A))
-    return NormEstimate(lower, max(upper, lower), w, "boyd+interp")
+    return NormEstimate(float(lower), float(max(upper, lower)), W[:, 0], "boyd+interp")
 
 
 def section_max(f, center, half, steps: int):

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, gap_witness
-from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, section_max
+from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, method_of, section_max
 from .zline import LaurentPolynomial, _upper_from_sup, fpz_norm, sup_exact
 
 __all__ = [
@@ -68,7 +68,7 @@ def snap_angle(a) -> Angle:
     """
     if isinstance(a, Fraction):
         return a % 1
-    if isinstance(a, bool):
+    if isinstance(a, (bool, str)):
         raise ValueError(f"an angle must be a number, got {a!r}")
     if isinstance(a, int):
         return Fraction(a) % 1
@@ -533,29 +533,27 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
     """
     best, witness = -math.inf, None
 
-    def solve(angles, **kwargs) -> list[NormEstimate]:
-        """Norms of the order-n tuples of values at the rotates of each angle, from
-        one `evaluate` call; the slot keeps the best lower bound."""
+    def solve(angles, **kwargs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """fpzn_norms of the order-n tuples of values at the rotates of each angle,
+        from one `evaluate` call; the slot keeps the best lower bound."""
         nonlocal best, witness
         values = evaluate(np.array(rotation_orbits(angles, n), dtype=float))
-        ests = fpzn_norms(values.reshape(-1, n), p, seed=seed, **kwargs)
-        for est in ests:
-            if est.lower > best:
-                best, witness = est.lower, est.witness
-        return ests
+        lower, upper, witnesses = fpzn_norms(values.reshape(-1, n), p, seed=seed, **kwargs)
+        if lower.max(initial=-math.inf) > best:
+            best, witness = float(lower.max()), witnesses[lower.argmax()]
+        return lower, upper, witnesses
 
     exact = not arcset.arcs and not arcset.full
-    point_upper = max((est.upper for est in solve(arcset.points)), default=-math.inf)
+    point_upper = float(solve(arcset.points)[1].max(initial=-math.inf))
     grid = arcset.orbit_representatives(n).arc_grid(resolution)
     if grid:
         arc = [-math.inf, None, None]  # the best arc tuple: lower bound, angle, witness
 
-        def search(angles, **kwargs) -> list[float]:
-            ests = solve(angles, **kwargs)
-            j = int(np.argmax([est.lower for est in ests]))
-            if ests[j].lower > arc[0]:
-                arc[:] = ests[j].lower, angles[j], ests[j].witness
-            return [est.lower for est in ests]
+        def search(angles, **kwargs) -> np.ndarray:
+            lower, _, witnesses = solve(angles, **kwargs)
+            if lower.max() > arc[0]:
+                arc[:] = lower.max(), angles[lower.argmax()], witnesses[lower.argmax()]
+            return lower
 
         search(grid)
         section_max(lambda angles: search(angles, start=arc[2]),
@@ -589,7 +587,7 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
     lower = -math.inf
     upper = 0.0
     witness = np.array([1.0 + 0.0j])
-    method = "exact-p1" if p == 1.0 else ("exact-p2" if p == 2.0 else "boyd+interp")
+    method = method_of(p)
     all_exact = True
 
     arc_upper = _upper_from_sup(f, p, sup_exact(f)[0] * (1.0 + 1e-12))
@@ -660,11 +658,8 @@ def _probe_witness(n: int, relevant_divisors: list[int], p, margin: float,
     for d in sorted(relevant_divisors, reverse=True) or [max(
             d for d in range(1, n) if n % d == 0)]:
         alpha, _ = gap_witness(n, d, p, seed=seed, target_margin=2.0 * margin)
-        scale = max(
-            est.upper
-            for dd in (relevant_divisors or [d])
-            for est in fpzn_norms(alpha.xi.reshape(dd, -1).T, p, seed=seed)
-        )
+        scale = max(fpzn_norms(alpha.xi.reshape(dd, -1).T, p, seed=seed)[1].max()
+                    for dd in (relevant_divisors or [d]))
         scaled = alpha.xi / scale
         gap = fpzn_norm(CyclicElement(n, scaled), p, seed=seed).lower - 1.0
         if best is None or gap > best[0]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, json_int
+from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, json_complex, json_int
 from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, interpolation_upper, section_max
 
 __all__ = [
@@ -33,6 +33,9 @@ __all__ = [
     "norm_l1",
     "norm_sup",
 ]
+
+# widest degree span from_json reads: sup_exact's companion matrix is (2 span)^2
+_MAX_SPAN = 1024
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,10 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPolynomial":
-        return cls(tuple((json_int(t["m"], "m"), complex(t["a"][0], t["a"][1]))
-                         for t in obj["terms"]))
+        f = cls(tuple((json_int(t["m"], "m"), json_complex(t["a"], "a")) for t in obj["terms"]))
+        if f.span > _MAX_SPAN:
+            raise ValueError(f"the degree span must be at most {_MAX_SPAN}, got {f.span}")
+        return f
 
 
 def norm_l1(f: LaurentPolynomial) -> float:
@@ -231,10 +236,10 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     witness = np.array([1.0 + 0.0j])
     for n in _schedule(n_max):
         bases = (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak)
-        for est in fpzn_norms([f.samples(n, t).xi for t in bases], p, seed=seed,
-                              incumbent=lower):
-            if est.lower > lower:
-                lower, witness = est.lower, est.witness
+        lows, _, witnesses = fpzn_norms([f.samples(n, t).xi for t in bases], p, seed=seed,
+                                        incumbent=lower)
+        if lows.max() > lower:
+            lower, witness = float(lows.max()), witnesses[lows.argmax()]
         if upper - lower < tol:
             break
     return NormEstimate(lower, max(upper, lower), witness, "boyd+interp")

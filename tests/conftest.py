@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ def random_spatial_isometry(rng, max_atoms=10, max_cycle=4, aperiodic=False):
         np.array(images),
         aperiodic,
     )
+
+
+def brackets(solved):
+    """fpzn_norms' arrays (lower, upper, witness) as one record per row."""
+    lower, upper, witness = solved
+    assert lower.shape == upper.shape == witness.shape[:1]
+    return [SimpleNamespace(lower=a, upper=b, witness=w)
+            for a, b, w in zip(lower, upper, witness)]
 
 
 @pytest.fixture

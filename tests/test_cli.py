@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import lpkit.zline as zline
 from lpkit.cli import EXIT_EMPTY_MEET, EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, dumps, main
 from lpkit.zline import LaurentPolynomial, fpz_norm, fpz_upper
 
@@ -324,8 +325,9 @@ _ARC = {"points": [], "arcs": [[0.1, 0.15], [0.6, 0.65]]}
 
 
 # flags that are not JSON booleans (nor "full"/"empty" for infinity), integer fields that
-# are booleans or fractions, boolean angles and configurations that are not JSON objects:
-# each is refused, never read as some other value
+# are booleans or fractions, real fields and angles that are booleans or strings, complex
+# fields that are not [re, im] pairs, configurations that are not JSON objects and degree
+# spans too wide to solve: each is refused, never read as some other value
 @pytest.mark.parametrize("command,obj,message", [
     pytest.param("config classify --p 3", {"finite": {}, "infinity": "full", "maximal": "false"},
                  "'maximal' must be true or false, got 'false'", id="maximal-string"),
@@ -353,8 +355,34 @@ _ARC = {"points": [], "arcs": [[0.1, 0.15], [0.6, 0.65]]}
                  "'T[1]' must be an integer, got 0.5", id="T-fraction"),
     pytest.param("isom periods", {**_V, "T": [True, False]},
                  "'T[0]' must be an integer, got True", id="T-bool"),
+    pytest.param("norm z --p 1", {"terms": [{"m": 0, "a": [True, False]}, {"m": 1, "a": [1, 0]}]},
+                 "'a' must be a number, got True", id="a-bool"),
+    pytest.param("norm z --p 1", {"terms": [{"m": 0, "a": [1, 0, 5]}]},
+                 "'a' must be an [re, im] pair, got [1, 0, 5]", id="a-three"),
+    pytest.param("norm z --p 1", {"terms": [{"m": 0, "a": [10**400, 0]}]},
+                 "'a' must be a number, got 1000", id="a-huge-int"),
+    pytest.param("norm zn --p 1", {"n": 1, "xi": [[True, False]]},
+                 "'xi' must be a number, got True", id="xi-bool"),
+    pytest.param("isom periods", {**_V, "weights": ["1", True]},
+                 "'weights' must be a number, got '1'", id="weights-string"),
+    pytest.param("isom periods", {**_V, "h": [[True, False], [1, 0]]},
+                 "'h' must be a number, got True", id="h-bool"),
+    pytest.param("config saturate", {"finite": {"1": {"points": ["0.25"]}}},
+                 "an angle must be a number, got '0.25'", id="angle-string"),
+    pytest.param("config saturate", {"finite": {"1": {"arcs": [["0.1", 0.2]]}}},
+                 "an angle must be a number, got '0.1'", id="arc-end-string"),
+    pytest.param("isom decompose --p 3", {"weights": [1], "matrix": [[[True, 0]]]},
+                 "'matrix' must be a number, got True", id="matrix-bool"),
+    # sup_exact's companion matrix is (2 span)^2: 5 s and 68 MB at span 512, 4x that at 1024
+    pytest.param("norm z --p 1.5 --seed 0",
+                 {"terms": [{"m": 0, "a": [1, 0]}, {"m": 1025, "a": [1, 0]}]},
+                 "the degree span must be at most 1024, got 1025", id="span"),
 ])
-def test_malformed_flags_are_schema_errors(capsys, tmp_path, command, obj, message):
+def test_malformed_flags_are_schema_errors(capsys, tmp_path, monkeypatch, command, obj, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a malformed input")
+
+    monkeypatch.setattr(zline, "sup_exact", refuse)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     rc, out, err = run(capsys, *command.split(), "--in", str(path))

@@ -16,7 +16,7 @@ from lpkit.pnorm import (
     section_max,
 )
 
-from conftest import random_laurent
+from conftest import brackets, random_laurent
 
 
 class TestAsExponent:
@@ -44,6 +44,11 @@ class TestDefaultStarts:
 
 
 class TestOpnormExactPaths:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 1.5])
+    def test_python_floats(self, rng, p):
+        est = opnorm(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), p)
+        assert type(est.lower) is float and type(est.upper) is float
+
     def test_identity_any_p(self):
         est = opnorm(np.eye(4), 1.5, seed=0)
         assert est.lower == pytest.approx(1.0, abs=1e-9)
@@ -204,9 +209,28 @@ class TestTextbookBoyd:
         n = A.shape[0]
         starts = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
         for k in (1, 2, 5, 20):
-            [(value, _)] = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p,
-                                      tol=0.0, max_iter=k)
+            (value,), _ = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p,
+                                     tol=0.0, max_iter=k)
             assert value == pytest.approx(_textbook_boyd(A, starts, p, k), rel=1e-12)
+
+    def test_arrays_out(self, rng):
+        # one value per group and a unit p-norm witness column per group that reproduces it
+        A = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) for _ in range(3)]
+        group = [0, 1, 2]
+
+        def select(g):
+            group[:] = np.asarray(g)
+
+        def apply(mats, X):
+            return np.stack([mats[g] @ X[:, j] for j, g in enumerate(group)], axis=1)
+
+        starts = np.tile(default_starts(5, 32, 0), 3)
+        values, W = boyd_lower(lambda X: apply(A, X), lambda X: apply([a.conj().T for a in A], X),
+                               starts, 1.5, groups=3, select=select)
+        assert values.shape == (3,) and W.shape == (5, 3)
+        for a, v, w in zip(A, values, W.T):
+            assert pnorm(w, 1.5) == pytest.approx(1.0, rel=1e-12)
+            assert pnorm(a @ w, 1.5) == pytest.approx(v, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
     def test_dense(self, rng, p):
@@ -360,7 +384,7 @@ class TestCompaction:
             patch.setattr(cyclic, "boyd_lower", counting_boyd)
             if keep_settled:
                 TestCompaction._keep_settled(patch)
-            ests = cyclic.fpzn_norms(np.array([x.xi for x in xs]), p, seed=seed)
+            ests = brackets(cyclic.fpzn_norms(np.array([x.xi for x in xs]), p, seed=seed))
         return ests, widths
 
     @staticmethod

@@ -24,7 +24,7 @@ from lpkit.specconf import (
 )
 from lpkit.zline import LaurentPolynomial, fpz_norm, norm_l1
 
-from conftest import random_laurent
+from conftest import brackets, random_laurent
 
 
 def points_config(slots):
@@ -364,9 +364,9 @@ class TestFpsigmaNorm:
         real = specconf.fpzn_norms
 
         def counting(xs, p, **kwargs):
-            ests = real(xs, p, **kwargs)
-            calls.extend(ests)
-            return ests
+            solved = real(xs, p, **kwargs)
+            calls.extend(brackets(solved))
+            return solved
 
         monkeypatch.setattr(specconf, "fpzn_norms", counting)
         f = random_laurent(rng, span=3)
@@ -396,6 +396,27 @@ class TestFpsigmaNorm:
             config_value(lambda a: f(np.exp(2j * np.pi * a)), cfg, 3)
         assert built[0] == 0
 
+    def test_one_norm_estimate_per_call(self, rng, monkeypatch):
+        # the slot tuples' brackets stay arrays; only the reported bracket is an object
+        from lpkit.pnorm import NormEstimate
+
+        built = [0]
+        real = NormEstimate.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            real(self)
+
+        monkeypatch.setattr(NormEstimate, "__post_init__", counting)
+        f = random_laurent(rng, span=3)
+        arcs = SpectralConfiguration({2: ArcSet((0, Fr(1, 2)), ((0.1, 0.15), (0.6, 0.65)))})
+        for cfg in (points_config({2: (0, Fr(1, 2)), 3: (Fr(1, 3), Fr(2, 3), 0)}), arcs):
+            for p in (1.0, 2.0, 3.0):
+                built[0] = 0
+                est = fpsigma_norm(f, cfg, p, seed=0)
+                assert built[0] == 1
+                assert type(est.lower) is float and type(est.upper) is float
+
     def test_arc_slot_calls(self, rng, monkeypatch):
         import lpkit.specconf as specconf
 
@@ -403,9 +424,9 @@ class TestFpsigmaNorm:
         real = specconf.fpzn_norms
 
         def counting(xs, p, **kwargs):
-            ests = real(xs, p, **kwargs)
-            calls.append((ests, kwargs))
-            return ests
+            solved = real(xs, p, **kwargs)
+            calls.append((brackets(solved), kwargs))
+            return solved
 
         monkeypatch.setattr(specconf, "fpzn_norms", counting)
         f = random_laurent(rng, span=3)

@@ -15,7 +15,7 @@ from lpkit.zline import (
     sup_exact,
 )
 
-from conftest import random_laurent
+from conftest import brackets, random_laurent
 
 
 def poly(*pairs):
@@ -197,6 +197,13 @@ class TestFpzNorm:
         assert w.shape == (f.span + 1,) and np.array_equal(w, np.eye(f.span + 1)[0])
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_fpz_norm_python_floats(rng, p):
+    for f in (random_laurent(rng, span=3), poly()):
+        est = fpz_norm(f, p, n_max=8)
+        assert type(est.lower) is float and type(est.upper) is float
+
+
 class TestIncumbent:
     """fpz_norm's ascents stop once they cannot raise the lower bound it holds."""
 
@@ -232,8 +239,8 @@ class TestIncumbent:
     def test_zero_incumbent_is_the_default(self, rng):
         f = random_laurent(rng, span=5)
         xs = np.array([f.samples(48, t).xi for t in (1.0, np.exp(0.3j))])
-        for a, b in zip(cyclic.fpzn_norms(xs, 1.5), cyclic.fpzn_norms(xs, 1.5, incumbent=0.0),
-                        strict=True):
+        for a, b in zip(brackets(cyclic.fpzn_norms(xs, 1.5)),
+                        brackets(cyclic.fpzn_norms(xs, 1.5, incumbent=0.0)), strict=True):
             assert a.lower == b.lower and a.upper == b.upper
             assert np.array_equal(a.witness, b.witness)
 
