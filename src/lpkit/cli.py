@@ -89,7 +89,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: malformed JSON, or an integer past Python's digit limit for int <-> str
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot parse {path}: {exc}") from exc
 
 

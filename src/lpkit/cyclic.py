@@ -18,13 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnorm import (
+    _CHUNK_COLUMNS,
     _CONVERGENCE_TOL,
+    PAD_ORDER,
+    TIGHT_TOL,
     NormEstimate,
     as_exponent,
     boyd_lower,
     default_starts,
     interpolation_upper,
     method_of,
+    stacked_lower,
 )
 
 __all__ = [
@@ -42,8 +46,6 @@ __all__ = [
 ]
 
 
-# widest block one grouped ascent iterates; bounds its memory, not its result
-_CHUNK_COLUMNS = 4096
 # isometries are recognized up to this coordinate error
 _ISOMETRY_TOL = 1e-9
 
@@ -137,8 +139,13 @@ def circulant_of(x: CyclicElement) -> np.ndarray:
     Entry (i, j) depends only on (i - j) mod n; the generator tuple maps to
     the cyclic shift matrix.
     """
-    i = np.arange(x.n)
-    return x.coefficients()[(i[:, None] - i) % x.n]
+    return x.coefficients()[_circulant_index(x.n)]
+
+
+def _circulant_index(n: int) -> np.ndarray:
+    """(i - j) mod n at entry (i, j): a circulant's entries taken from its first column."""
+    i = np.arange(n)
+    return (i[:, None] - i) % n
 
 
 def _circulant_matmats(fhat: np.ndarray):
@@ -207,21 +214,15 @@ def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
     |xi| and 16 random columns, whatever `restarts` is.
     """
     p = as_exponent(p)
-    xi = np.asarray(xi, dtype=complex)
-    if xi.ndim != 2:
-        raise ValueError(f"expected a (k, n) coordinate array, got shape {xi.shape}")
-    if not np.isfinite(xi).all():
-        raise ValueError("coordinates must be finite")
+    xi = _coordinates(xi)
     k, n = xi.shape
     if not k:
         return np.zeros(0), np.zeros(0), np.zeros((0, n), dtype=complex)
     mod = np.abs(xi)
-    n2 = mod.max(axis=1)
     if p == 2.0:
+        n2 = mod.max(axis=1)
         return n2, n2, _eigenvectors(n, mod.argmax(axis=1))
-
-    coeffs = np.fft.fft(xi, axis=1) / n  # row j: the coefficients of row j, bit for bit
-    n1 = np.abs(coeffs).sum(axis=1)
+    coeffs, n1, n2 = _endpoint_norms(xi, mod)
     if p == 1.0:  # every column sums to n1, so the first basis vector attains it
         return n1, n1, np.eye(1, n, dtype=complex).repeat(k, axis=0)
 
@@ -253,9 +254,61 @@ def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
                                 tol=tol, groups=len(starts[block]), select=select,
                                 incumbent=incumbent))
     lower = np.concatenate([values for values, _ in found])
+    return lower, _upper(p, n1, n2, lower), np.concatenate([W for _, W in found], axis=1).T
+
+
+def _coordinates(xi) -> np.ndarray:
+    """A (k, n) coordinate array as complex; ValueError unless it is 2-D and finite."""
+    xi = np.asarray(xi, dtype=complex)
+    if xi.ndim != 2:
+        raise ValueError(f"expected a (k, n) coordinate array, got shape {xi.shape}")
+    if not np.isfinite(xi).all():
+        raise ValueError("coordinates must be finite")
+    return xi
+
+
+def _endpoint_norms(xi: np.ndarray, mod: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficient rows of a (k, n) coordinate array, given with its moduli, and
+    each row's circulant norms at p = 1 (l1 of the coefficients) and p = 2 (max |xi|)."""
+    coeffs = np.fft.fft(xi, axis=1) / xi.shape[1]  # row j: the coefficients of row j, bit for bit
+    return coeffs, np.abs(coeffs).sum(axis=1), mod.max(axis=1)
+
+
+def _upper(p: float, n1: np.ndarray, n2: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Riesz-Thorin upper bounds from the endpoint norms (p = inf equals p = 1 for a
+    circulant), never below the lower bounds."""
     # Python-float powers, one tuple at a time: a numpy array power can differ in the last bit
     upper = [interpolation_upper(p, a, b, a) for a, b in zip(n1.tolist(), n2.tolist())]
-    return lower, np.maximum(upper, lower), np.concatenate([W for _, W in found], axis=1).T
+    return np.maximum(upper, lower)
+
+
+def fpzn_norms_ragged(xis, p, *, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """fpzn_norms at TIGHT_TOL of each (k, n) array in a list of any orders, as a list
+    of (lower, upper, witness) triples, with every order from 2 to PAD_ORDER in one ascent.
+
+    Those tuples are solved together as dense circulants (pnorm.stacked_lower,
+    from fpzn_norms' start block for n <= 32), so the ascent's iteration count
+    is the largest over the orders, not their sum; upper bounds come from the
+    same Gelfand data as in fpzn_norms.  p in {1, 2}, order 1 and orders above
+    PAD_ORDER take fpzn_norms itself, one call per array.
+    """
+    p = as_exponent(p)
+    xis = [_coordinates(xi) for xi in xis]
+    # the arrays solved together: their coefficient rows and endpoint norms
+    dense = {i: _endpoint_norms(xi, np.abs(xi)) for i, xi in enumerate(xis)
+             if p not in (1.0, 2.0) and 2 <= xi.shape[1] <= PAD_ORDER and len(xi)}
+    out = [None if i in dense else fpzn_norms(xi, p, tol=TIGHT_TOL, seed=seed)
+           for i, xi in enumerate(xis)]
+    if dense:
+        mats = [C for coeffs, _, _ in dense.values()
+                for C in coeffs[:, _circulant_index(coeffs.shape[1])]]
+        lower, W = stacked_lower(mats, [default_starts(len(C), 32, seed) for C in mats], p)
+        lo = 0
+        for i, (_, n1, n2) in dense.items():
+            hi = lo + len(n1)
+            out[i] = lower[lo:hi], _upper(p, n1, n2, lower[lo:hi]), np.array(W[lo:hi])
+            lo = hi
+    return out
 
 
 def embed_divisor(b: CyclicElement, m: int) -> CyclicElement:

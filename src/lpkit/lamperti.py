@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclic import json_complex, json_int, json_real
-from .pnorm import NormEstimate, as_exponent, opnorm
+from .pnorm import NormEstimate, as_exponent, grouped_opnorm, method_of, opnorm
 from .specconf import (
     ArcSet,
     SpectralConfiguration,
@@ -311,14 +311,33 @@ def spectral_configuration_of(v: SpatialIsometry) -> SpectralConfiguration:
     return SpectralConfiguration(slots, infinity_full=v.aperiodic)
 
 
+def _cycle_blocks(f: LaurentPolynomial, A: np.ndarray, cycles) -> list[np.ndarray]:
+    """f(B) for the block B of the complex permutation matrix A on each cycle's
+    atoms, in the cycle's T-order; B^-1 is B transposed with its entries inverted."""
+    blocks = []
+    for c in cycles:
+        B = A[np.ix_(c.atoms, c.atoms)]
+        B_inv = np.divide(1.0, B.T, out=np.zeros_like(B), where=B.T != 0)
+        blocks.append(sum((a * np.linalg.matrix_power(B if m >= 0 else B_inv, abs(m))
+                           for m, a in f.terms), np.zeros_like(B)))
+    return blocks
+
+
 def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
              seed: int = 0, n_max: int = 512):
     """Norm of f(v): directly as a matrix norm, via the configuration, or both.
 
-    direct: operator norm of sum a_m A^m on the weighted space (finite part
-    only).  via-sigma: configuration norm of f over sigma(v), exact for
-    atomic v since all finite slots are point sets.  both: the pair, whose
-    brackets must overlap.
+    direct: the finite part only.  The standardized matrix of v is the direct
+    sum of its blocks on the cycles of T, so f(v) is the direct sum of the
+    blocks f(B_c), and its ell^p norm is their largest (Lamperti, Pacific
+    J. Math. 8 (1958)).  Each f(B_c) is built from the matrix's own entries,
+    bracketed exactly at p in {1, 2} (opnorm) and otherwise by
+    pnorm.grouped_opnorm, one ascent for all blocks of order up to
+    pnorm.PAD_ORDER: the largest block lower bound, with its witness placed
+    at that cycle's atoms, and the largest block Riesz-Thorin bound, each
+    at most the whole matrix's.  via-sigma: configuration norm of f over
+    sigma(v), exact for atomic v since all finite slots are point sets.
+    both: the pair, whose brackets must overlap.
     """
     p = as_exponent(p)
     if mode not in ("direct", "via-sigma", "both"):
@@ -327,13 +346,16 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
     def direct() -> NormEstimate:
         if v.aperiodic:
             raise ValueError("direct mode needs aperiodic = False")
-        A = standardized_matrix(v, p)
-        n = A.shape[0]
-        fa = np.zeros((n, n), dtype=complex)
-        for m, a in f.terms:
-            fa += a * np.linalg.matrix_power(A, m) if m >= 0 else a * np.linalg.matrix_power(
-                np.linalg.inv(A), -m)
-        return opnorm(fa, p, seed=seed)
+        cycles = periods(v).cycles
+        blocks = _cycle_blocks(f, standardized_matrix(v, p), cycles)
+        if p in (1.0, 2.0):
+            ests = [opnorm(B, p) for B in blocks]
+        else:
+            ests = grouped_opnorm(blocks, p, seed=seed)
+        c = max(range(len(ests)), key=lambda i: ests[i].lower)
+        witness = np.zeros(v.space.n_atoms, dtype=complex)
+        witness[list(cycles[c].atoms)] = ests[c].witness
+        return NormEstimate(ests[c].lower, max(e.upper for e in ests), witness, method_of(p))
 
     def via_sigma() -> NormEstimate:
         return fpsigma_norm(f, spectral_configuration_of(v), p, seed=seed, n_max=n_max)

@@ -37,6 +37,10 @@ _STALL_ITERS = 50
 _TINY = np.finfo(float).tiny
 # points section_max evaluates per step
 _SECTIONS = 8
+# widest block one grouped ascent iterates; bounds its memory, not its result
+_CHUNK_COLUMNS = 4096
+# largest order stacked_lower zero-pads a matrix to; each larger order gets its own ascent
+PAD_ORDER = 16
 
 _log = logging.getLogger(__name__)
 
@@ -312,6 +316,96 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     return pnorm(np.ascontiguousarray(matmat(W).T), p, axis=1), W
 
 
+def _stacked_matmats(stack: np.ndarray):
+    """Column-block products by a stack of equal-size dense matrices: after
+    `select(g)`, column j of a block is multiplied by stack[g[j]].
+
+    A product places the columns of each matrix side by side in one
+    zero-padded (matrix, row, column) array, so it is one batched matmul
+    and holds no copy of a matrix per column.
+    """
+    rows = np.arange(stack.shape[1])[:, None]
+    mats = adjoints = index = width = None
+
+    def select(groups) -> None:
+        nonlocal mats, adjoints, index, width
+        live, first, at = np.unique(groups, return_index=True, return_inverse=True)
+        pos = np.arange(len(groups)) - first[at]  # each column's place among its matrix's
+        mats, width = stack[live], int(pos.max(initial=0)) + 1
+        adjoints = mats.conj().swapaxes(1, 2)
+        # flat position of block entry (r, j) in the (matrix, row, column) array
+        index = (at * len(rows) + rows) * width + pos
+
+    def product(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+        X3 = np.zeros(M.shape[:2] + (width,), dtype=complex)
+        X3.reshape(-1)[index] = X
+        return np.matmul(M, X3).reshape(-1)[index]
+
+    return (lambda X: product(X, mats)), (lambda X: product(X, adjoints)), select
+
+
+def stacked_lower(mats, starts, p: float) -> tuple[np.ndarray, list]:
+    """Boyd lower bounds of a ragged list of square matrices, as groups of one ascent
+    at TIGHT_TOL.
+
+    Matrix g and its start block starts[g] (one column per start) are
+    zero-padded to the largest order and to the widest block.  A padded
+    coordinate stays zero and a zero start column settles at once, so each
+    group runs as it would alone, up to the roundoff of the dense products;
+    the number of iterations is the largest over the matrices, not their sum.
+    Blocks hold at most _CHUNK_COLUMNS columns; longer lists run as several.
+    Callers pass orders up to PAD_ORDER together and each larger order on
+    its own, so no matrix is padded past PAD_ORDER.  Returns (values,
+    witnesses): the re-evaluated values, shape (len(mats),), and each
+    matrix's unit-norm witness, cut back to its order.
+    """
+    size = max(len(A) for A in mats)
+    k = max(S.shape[1] for S in starts)
+    per_block = max(1, _CHUNK_COLUMNS // k)
+    values, W = [], []
+    for lo in range(0, len(mats), per_block):
+        part = range(lo, min(lo + per_block, len(mats)))
+        stack = np.zeros((len(part), size, size), dtype=complex)
+        block = np.zeros((size, len(part) * k), dtype=complex)
+        for g, i in enumerate(part):
+            n = len(mats[i])
+            stack[g, :n, :n] = mats[i]
+            block[:n, g * k:g * k + starts[i].shape[1]] = starts[i]
+        matmat, rmatmat, select = _stacked_matmats(stack)
+        found = boyd_lower(matmat, rmatmat, block, p, tol=TIGHT_TOL, groups=len(part),
+                           select=select)
+        values.append(found[0])
+        W.extend(found[1][:len(mats[i]), g] for g, i in enumerate(part))
+    return np.concatenate(values), W
+
+
+def _interpolation_upper_of(A: np.ndarray, p: float) -> float:
+    return interpolation_upper(p, _norm1(A)[0], _norm2(A)[0], _norm_inf(A))
+
+
+def grouped_opnorm(mats, p, *, seed: int = 0) -> list[NormEstimate]:
+    """opnorm of each matrix in a list at p outside {1, 2}, where opnorm is exact.
+
+    The same start blocks and Riesz-Thorin upper bounds as opnorm, but one
+    ascent at TIGHT_TOL (stacked_lower) for all orders up to PAD_ORDER and
+    one per larger order.
+    """
+    p = as_exponent(p)
+    mats = [_as_square_matrix(A) for A in mats]
+    # orders up to PAD_ORDER share one family, each larger order has its own
+    family_of = np.maximum([len(A) for A in mats], PAD_ORDER)
+    lower, W = np.zeros(len(mats)), [None] * len(mats)
+    for n in np.unique(family_of):
+        family = np.flatnonzero(family_of == n)
+        lower[family], ws = stacked_lower([mats[i] for i in family],
+                                          [default_starts(len(mats[i]), 32, seed) for i in family],
+                                          p)
+        for i, w in zip(family, ws):
+            W[i] = w
+    return [NormEstimate(float(lo), float(max(_interpolation_upper_of(A, p), lo)), w,
+                         "boyd+interp") for A, lo, w in zip(mats, lower, W)]
+
+
 def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
     """Certified bracket for the operator norm of A on ell^p_n.
 
@@ -336,9 +430,7 @@ def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
 
     starts = default_starts(n, 32, seed)
     [lower], W = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p)
-    n1, _ = _norm1(A)
-    n2, _ = _norm2(A)
-    upper = interpolation_upper(p, n1, n2, _norm_inf(A))
+    upper = _interpolation_upper_of(A, p)
     return NormEstimate(float(lower), float(max(upper, lower)), W[:, 0], "boyd+interp")
 
 

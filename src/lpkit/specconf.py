@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, gap_witness
+from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, fpzn_norms_ragged, gap_witness
 from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, method_of, section_max
 from .zline import LaurentPolynomial, _upper_from_sup, fpz_norm, sup_exact
 
@@ -513,44 +513,45 @@ def classify(config: SpectralConfiguration, p) -> DichotomyResult:
 
 
 def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float,
-                seed: int) -> tuple[float, np.ndarray, bool, float]:
+                seed: int, points: tuple) -> tuple[float, np.ndarray, bool, float]:
     """Sup of tuple norms over a slot: exact over points, searched over arcs.
 
-    Returns (lower bound, witness, exact, point upper) where exact means the
-    slot had no arcs, so the sup is a finite max of certified point values,
-    and point upper is the largest upper bound over the slot's points.  The
-    tuple at a + j/n is a rotation of the one at a, with the same norm, so
-    arcs are searched over one orbit (ArcSet.orbit_representatives): a grid
-    at `resolution` is refined by _SECTION_STEPS steps of pnorm.section_max
-    on [g - resolution, g + resolution] around the best grid angle g; each
-    step starts from the witness of the best arc tuple so far (fpzn_norms'
+    `points` holds fpzn_norms' arrays (lower, upper, witness) for the slot's
+    point tuples, one per rotation orbit (see _slots_lower).  Returns (lower
+    bound, witness, exact, point upper) where exact means the slot had no
+    arcs, so the sup is a finite max of certified point values, and point
+    upper is the largest upper bound over the slot's points.  The tuple at
+    a + j/n is a rotation of the one at a, with the same norm, so arcs are
+    searched over one orbit (ArcSet.orbit_representatives): a grid at
+    `resolution` is refined by _SECTION_STEPS steps of pnorm.section_max on
+    [g - resolution, g + resolution] around the best grid angle g; each step
+    starts from the witness of the best arc tuple so far (fpzn_norms'
     `start`), then the n rotations of the best arc angle are solved from the
     standard block at TIGHT_TOL, which restores the start diversity of n
-    rotated copies.  Points keep every rotation, since a point's value is
-    its own ascent's, with no confirmation.  The lower bound is the best
-    value evaluated; the tuples of the points, of the grid and of each step
-    are solved together.
+    rotated copies.  The lower bound is the best value evaluated, a point's
+    on ties; the tuples of the grid and of each step are solved together.
     """
+    lower, upper, witnesses = points
     best, witness = -math.inf, None
+    if lower.size:
+        best, witness = float(lower.max()), witnesses[lower.argmax()]
 
-    def solve(angles, **kwargs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def solve(angles, **kwargs) -> tuple[np.ndarray, np.ndarray]:
         """fpzn_norms of the order-n tuples of values at the rotates of each angle,
         from one `evaluate` call; the slot keeps the best lower bound."""
         nonlocal best, witness
         values = evaluate(np.array(rotation_orbits(angles, n), dtype=float))
-        lower, upper, witnesses = fpzn_norms(values.reshape(-1, n), p, seed=seed, **kwargs)
-        if lower.max(initial=-math.inf) > best:
+        lower, _, witnesses = fpzn_norms(values.reshape(-1, n), p, seed=seed, **kwargs)
+        if lower.max() > best:
             best, witness = float(lower.max()), witnesses[lower.argmax()]
-        return lower, upper, witnesses
+        return lower, witnesses
 
-    exact = not arcset.arcs and not arcset.full
-    point_upper = float(solve(arcset.points)[1].max(initial=-math.inf))
     grid = arcset.orbit_representatives(n).arc_grid(resolution)
     if grid:
         arc = [-math.inf, None, None]  # the best arc tuple: lower bound, angle, witness
 
         def search(angles, **kwargs) -> np.ndarray:
-            lower, _, witnesses = solve(angles, **kwargs)
+            lower, witnesses = solve(angles, **kwargs)
             if lower.max() > arc[0]:
                 arc[:] = lower.max(), angles[lower.argmax()], witnesses[lower.argmax()]
             return lower
@@ -559,7 +560,25 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
         section_max(lambda angles: search(angles, start=arc[2]),
                     float(arc[1]), resolution, _SECTION_STEPS)
         solve(rotation_orbits([float(arc[1])], n), tol=TIGHT_TOL)
-    return best, witness, exact, point_upper
+    exact = not arcset.arcs and not arcset.full
+    return best, witness, exact, float(upper.max(initial=-math.inf))
+
+
+def _slots_lower(evaluate: Callable, slots: Mapping[int, ArcSet], p, resolution: float,
+                 seed: int) -> list[tuple[float, np.ndarray, bool, float]]:
+    """_slot_lower of each slot n -> ArcSet, in slot order.
+
+    A slot's points are solved one tuple per rotation orbit (the first 1/n
+    of the sorted points), since rotated tuples have the same norm, and
+    the point tuples of every slot go to one cyclic.fpzn_norms_ragged call,
+    at TIGHT_TOL: one grouped ascent over all orders from 2 to PAD_ORDER.
+    """
+    reps = [rotation_orbits(arcset.orbit_representatives(n).points, n)
+            for n, arcset in slots.items()]
+    points = fpzn_norms_ragged([evaluate(np.array(angles, dtype=float)).reshape(-1, n)
+                                for angles, n in zip(reps, slots)], p, seed=seed)
+    return [_slot_lower(evaluate, arcset, n, p, resolution, seed, solved)
+            for (n, arcset), solved in zip(slots.items(), points)]
 
 
 def _check_resolution(resolution) -> None:
@@ -572,13 +591,15 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
                  seed: int = 0) -> NormEstimate:
     """Configuration norm of f: sup over slots of cyclic tuple norms.
 
-    Point slots are exact finite maxima.  Arc slots contribute lower bounds
-    from a grid at `resolution` over one rotation orbit, refined by a
-    batched k-section search from carried starts and confirmed over the
-    best angle's n rotations (see _slot_lower), and a certified upper bound
-    uniform over the arc from interpolation; a full infinity slot
-    contributes the bilateral convolution norm bracket.  ValueError unless
-    `resolution` is finite and positive, before any solve.
+    Point slots are exact finite maxima over one tuple per rotation orbit,
+    every slot's in one grouped ascent (see _slots_lower).  Arc slots
+    contribute lower bounds from a grid at `resolution` over one rotation
+    orbit, refined by a batched k-section search from carried starts and
+    confirmed over the best angle's n rotations (see _slot_lower), and a
+    certified upper bound uniform over the arc from interpolation, computed
+    only when a slot has arcs; a full infinity slot contributes the
+    bilateral convolution norm bracket.  ValueError unless `resolution` is
+    finite and positive, before any solve.
     """
     p = as_exponent(p)
     _check_resolution(resolution)
@@ -590,16 +611,17 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
     method = method_of(p)
     all_exact = True
 
-    arc_upper = _upper_from_sup(f, p, sup_exact(f)[0] * (1.0 + 1e-12))
+    arc_upper = None  # uniform over any arc: computed once, for the first slot with arcs
 
     slots = {} if config.maximal else config.finite_slots
-    for n, arcset in slots.items():
-        lo, wit, exact, point_upper = _slot_lower(evaluate, arcset, n, p, resolution, seed)
+    for lo, wit, exact, point_upper in _slots_lower(evaluate, slots, p, resolution, seed):
         if lo > lower:
             lower, witness = lo, wit
         if exact:
             slot_upper = point_upper
         else:
+            if arc_upper is None:
+                arc_upper = _upper_from_sup(f, p, sup_exact(f)[0] * (1.0 + 1e-12))
             slot_upper = arc_upper
             all_exact = False
         upper = max(upper, slot_upper)
@@ -621,7 +643,8 @@ def config_value(evaluate: Callable, config: SpectralConfiguration, p,
     """Slotwise sup of cyclic tuple norms for a pointwise-defined function.
 
     Lower-bound semantics on arc slots, searched as in fpsigma_norm (one
-    orbit, then the best angle's rotations); exact on point slots.  This is
+    orbit, then the best angle's rotations); exact on point slots, solved
+    as in fpsigma_norm.  This is
     the engine behind the membership probe, which feeds piecewise-linear
     bump functions that are not Laurent polynomials.  ValueError unless
     `resolution` is finite and positive.
@@ -631,8 +654,7 @@ def config_value(evaluate: Callable, config: SpectralConfiguration, p,
     if config.maximal or config.infinity_full:
         raise ValueError("pointwise evaluation needs a finite-order configuration")
     best = 0.0
-    for n, arcset in config.finite_slots.items():
-        lo = _slot_lower(evaluate, arcset, n, p, resolution, seed)[0]
+    for lo, _, _, _ in _slots_lower(evaluate, config.finite_slots, p, resolution, seed):
         best = max(best, lo)
     return best
 

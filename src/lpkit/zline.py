@@ -172,6 +172,11 @@ def cyclic_lower(f: LaurentPolynomial, n: int, p) -> float:
     return fpzn_norm(f.samples(n), p, tol=TIGHT_TOL, restarts=64).lower
 
 
+# largest n_max fpz_norm takes: a schedule step's three tuples need about
+# 3.9 KB per unit of n before the ascent starts, 64 MB at this n
+_N_MAX = 16384
+
+
 def _schedule(n_max: int) -> list[int]:
     out = set()
     k = 1
@@ -211,12 +216,15 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     at base points {1, w_{2n}, argmax |f|}, and the upper bound is fpz_upper;
     the sweep stops early once the bracket is tighter than tol.  Each ascent
     gets the lower bound held so far as its incumbent, so one that cannot
-    raise it stops early.
+    raise it stops early.  ValueError, before any solve, unless tol is finite
+    and positive and 1 <= n_max <= _N_MAX (16384).
     """
     p = as_exponent(p)
     check_tol(tol)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    if n_max > _N_MAX:
+        raise ValueError(f"n_max must be at most {_N_MAX}, got {n_max!r}")
     if not f.terms:
         return NormEstimate(0.0, 0.0, np.array([1.0 + 0.0j]), "exact-p1")
 

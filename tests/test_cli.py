@@ -104,12 +104,13 @@ class TestNorm:
         assert "resolution must be finite and positive" in err
 
     @pytest.mark.parametrize("option", ["--tol=nan", "--tol=inf", "--tol=-1",
-                                        "--n-max=0", "--n-max=-3"])
+                                        "--n-max=0", "--n-max=-3", "--n-max=1000000000"])
     def test_bad_tol_is_precondition(self, files, capsys, option):
         rc, out, err = run(capsys, "norm", "z", "--p", "1.5", "--seed", "0",
                            "--in", files["poly.json"], option)
         assert rc == EXIT_PRECONDITION and out == ""
         assert ("tol must be finite and positive" if option.startswith("--tol")
+                else "n_max must be at most 16384" if option.endswith("000")
                 else "n_max must be >= 1") in err
 
     def test_csv_one_bracket(self, files, capsys):
@@ -377,6 +378,9 @@ _ARC = {"points": [], "arcs": [[0.1, 0.15], [0.6, 0.65]]}
     pytest.param("norm z --p 1.5 --seed 0",
                  {"terms": [{"m": 0, "a": [1, 0]}, {"m": 1025, "a": [1, 0]}]},
                  "the degree span must be at most 1024, got 1025", id="span"),
+    # raw text: json.load refuses an integer past Python's 4,300-digit conversion limit
+    pytest.param("norm z --p 1", '{"terms": [{"m": 0, "a": [' + "1" * 5000 + ', 0]}]}',
+                 "integer string conversion", id="a-5000-digits"),
 ])
 def test_malformed_flags_are_schema_errors(capsys, tmp_path, monkeypatch, command, obj, message):
     def refuse(*args, **kwargs):
@@ -384,10 +388,11 @@ def test_malformed_flags_are_schema_errors(capsys, tmp_path, monkeypatch, comman
 
     monkeypatch.setattr(zline, "sup_exact", refuse)
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(obj))
+    raw = isinstance(obj, str)
+    path.write_text(obj if raw else json.dumps(obj))
     rc, out, err = run(capsys, *command.split(), "--in", str(path))
     assert rc == EXIT_SCHEMA and out == ""
-    assert err.startswith("error: bad ") and message in err
+    assert err.startswith("error: cannot parse " if raw else "error: bad ") and message in err
 
 
 def test_json_flags_read_as_booleans(capsys, tmp_path):

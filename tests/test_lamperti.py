@@ -19,6 +19,7 @@ from lpkit.lamperti import (
     standardized_matrix,
     to_matrix,
 )
+from lpkit.pnorm import TIGHT_TOL, interpolation_upper, opnorm, pnorm
 from lpkit.specconf import closure_union
 from lpkit.zline import LaurentPolynomial
 
@@ -29,6 +30,18 @@ def isometry(weights, h, T, aperiodic=False):
     return SpatialIsometry(AtomicSpace(np.asarray(weights, dtype=float)),
                            np.asarray(h, dtype=complex), np.asarray(T, dtype=int),
                            aperiodic)
+
+
+def relabeled(v, rng):
+    """v with its atoms renumbered at random, so that no cycle is a run of labels."""
+    perm = rng.permutation(v.space.n_atoms)  # the new label of each atom
+    old = np.argsort(perm)  # the atom behind each new label
+    return SpatialIsometry(AtomicSpace(v.space.weights[old]), v.h[old], perm[v.T[old]])
+
+
+def f_of_matrix(f, A):
+    return sum(a * np.linalg.matrix_power(A if m >= 0 else np.linalg.inv(A), abs(m))
+               for m, a in f.terms)
 
 
 class TestToMatrix:
@@ -261,6 +274,54 @@ class TestFpvNorm:
             for p in (1.0, 2.0):
                 d, s = fpv_norm(f, v, p, seed=k)
                 assert abs(d.lower - s.lower) <= 1e-6
+
+    def test_direct_is_max_over_cycles(self, rng):
+        # f(v) is the direct sum of f(B_c) over the cycle blocks B_c, so the
+        # direct bracket is the largest block bracket, read off the whole f(v)
+        for _ in range(4):
+            v = relabeled(random_spatial_isometry(rng, max_atoms=14, max_cycle=5), rng)
+            f = random_laurent(rng, span=3, n_terms=4)  # a monomial's f(v) is an isometry
+            cycles = periods(v).cycles
+            for p in (1.0, 1.5, 2.0, 3.0):
+                fa = f_of_matrix(f, standardized_matrix(v, p))
+                est = fpv_norm(f, v, p, "direct", seed=0)
+                # the witness lives on one cycle and reproduces the lower bound on f(v)
+                support = set(np.flatnonzero(est.witness).tolist())
+                assert any(support <= set(c.atoms) for c in cycles)
+                ratio = pnorm(fa @ est.witness, p) / pnorm(est.witness, p)
+                assert ratio == pytest.approx(est.lower, rel=1e-12)
+                blocks = [fa[np.ix_(c.atoms, c.atoms)] for c in cycles]
+                lowers = [opnorm(B, p, seed=0).lower for B in blocks]
+                assert est.lower >= max(lowers) * (1.0 - 1e-12)
+                uppers = [interpolation_upper(p, np.linalg.norm(B, 1), np.linalg.norm(B, 2),
+                                              np.linalg.norm(B, np.inf)) for B in blocks]
+                assert est.upper == pytest.approx(max(uppers), rel=1e-13)
+                # never above the whole matrix's Riesz-Thorin bound, up to roundoff
+                assert est.upper <= opnorm(fa, p, seed=0).upper * (1.0 + 1e-15)
+
+    def test_direct_one_ascent(self, rng, monkeypatch):
+        # every cycle block of order up to 16 in one grouped ascent at the tight
+        # tolerance; an order above 16 gets an ascent of its own
+        import lpkit.pnorm as pnorm_module
+
+        calls = []
+        real = pnorm_module.boyd_lower
+
+        def counting(*args, **kwargs):
+            calls.append((kwargs["groups"], kwargs["tol"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pnorm_module, "boyd_lower", counting)
+        f = random_laurent(rng, span=3, n_terms=4)
+        v = random_spatial_isometry(rng, max_atoms=30, max_cycle=6)
+        fpv_norm(f, v, 3, "direct", seed=0)
+        assert calls == [(len(periods(v).cycles), TIGHT_TOL)]
+        calls.clear()
+        T = np.roll(np.arange(20), 1)  # one 20-cycle, then two fixed atoms
+        w = isometry(rng.random(22) + 0.5, np.exp(2j * np.pi * rng.random(22)),
+                     np.concatenate([T, [20, 21]]))
+        fpv_norm(f, w, 3, "direct", seed=0)
+        assert sorted(calls) == [(1, TIGHT_TOL), (2, TIGHT_TOL)]
 
     def test_gauge_invariance(self, rng):
         v = random_spatial_isometry(rng, max_atoms=8)

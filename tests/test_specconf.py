@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+from lpkit.cyclic import CyclicElement, fpzn_norm
 from lpkit.pnorm import TIGHT_TOL
 from lpkit.specconf import (
     ArcSet,
@@ -357,25 +358,80 @@ class TestFpsigmaNorm:
         pts = [1.0, -1.0, 1j]
         assert est.lower >= max(abs(f(z)) for z in pts) - 1e-8
 
-    def test_one_fpzn_call_per_point(self, rng, monkeypatch):
+    def test_one_tuple_per_point_orbit(self, rng, monkeypatch):
         import lpkit.specconf as specconf
 
         calls = []
-        real = specconf.fpzn_norms
+        real = specconf.fpzn_norms_ragged
 
-        def counting(xs, p, **kwargs):
-            solved = real(xs, p, **kwargs)
-            calls.extend(brackets(solved))
+        def counting(xis, p, **kwargs):
+            solved = real(xis, p, **kwargs)
+            calls.append(([np.shape(xi) for xi in xis], [brackets(s) for s in solved]))
             return solved
 
-        monkeypatch.setattr(specconf, "fpzn_norms", counting)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point slot solved on its own")
+
+        monkeypatch.setattr(specconf, "fpzn_norms_ragged", counting)
+        monkeypatch.setattr(specconf, "fpzn_norms", refuse)
         f = random_laurent(rng, span=3)
         cfg = points_config({2: (0, Fr(1, 2)), 3: (Fr(1, 7), Fr(1, 7) + Fr(1, 3),
                                                    Fr(1, 7) + Fr(2, 3))})
         est = fpsigma_norm(f, cfg, 3, seed=0)
-        assert len(calls) == 5
-        assert est.upper == max(e.upper for e in calls)
-        assert est.lower == max(e.lower for e in calls)
+        # each slot is one rotation orbit, so one tuple per slot, both slots in one call
+        [(shapes, solved)] = calls
+        assert shapes == [(1, 2), (1, 3)]
+        ests = [e for slot in solved for e in slot]
+        assert est.upper == max(e.upper for e in ests)
+        assert est.lower == max(e.lower for e in ests)
+
+    def test_point_orders_share_one_ascent(self, rng, monkeypatch):
+        # orders 2, 3 and 5 at p = 3: one tuple per orbit, all in one grouped
+        # ascent over dense circulants, none through the FFT path
+        import lpkit.cyclic as cyclic
+        import lpkit.pnorm as pnorm
+
+        groups = []
+        real = pnorm.boyd_lower
+
+        def counting(*args, **kwargs):
+            groups.append((kwargs["groups"], kwargs["tol"]))
+            return real(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an FFT ascent")
+
+        f = random_laurent(rng, span=3)
+        orbit = lambda n, *bases: [b + Fr(j, n) for b in bases for j in range(n)]
+        cfg = points_config({2: orbit(2, Fr(0), Fr(1, 8)), 3: orbit(3, Fr(1, 7)),
+                             5: orbit(5, Fr(1, 11), Fr(1, 13))})
+        # every rotation of every point, each solved alone: the same norm up to
+        # the ascent's tolerance
+        evaluate = lambda a: f(np.exp(2j * np.pi * np.asarray(a, dtype=float)))
+        every = [fpzn_norm(CyclicElement(n, evaluate([a + Fr(j, n) for j in range(n)])), 3,
+                           tol=TIGHT_TOL).lower
+                 for n, arcset in cfg.finite_slots.items() for a in arcset.points]
+        monkeypatch.setattr(pnorm, "boyd_lower", counting)
+        monkeypatch.setattr(cyclic, "boyd_lower", refuse)
+        est = fpsigma_norm(f, cfg, 3, seed=0)
+        assert groups == [(2 + 1 + 2, TIGHT_TOL)]
+        assert est.lower == pytest.approx(max(every), rel=1e-11)
+
+    def test_points_need_no_sup(self, rng, monkeypatch):
+        # only an arc or full slot uses the whole-circle upper bound
+        import lpkit.specconf as specconf
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed sup |f| for a point-only configuration")
+
+        monkeypatch.setattr(specconf, "sup_exact", refuse)
+        f = random_laurent(rng, span=3)
+        cfg = points_config({1: (Fr(1, 5),), 2: (0, Fr(1, 2)),
+                             3: (Fr(1, 7), Fr(1, 7) + Fr(1, 3), Fr(1, 7) + Fr(2, 3))})
+        for p in (1.0, 1.5, 2.0, 3.0):
+            est = fpsigma_norm(f, cfg, p, seed=0)
+            assert est.method == ("exact-p1" if p == 1.0 else "exact-p2" if p == 2.0
+                                  else "boyd+interp")
 
     def test_no_cyclic_element_per_tuple(self, rng, monkeypatch):
         # slot tuples go to fpzn_norms as one array, never one object each
@@ -420,28 +476,37 @@ class TestFpsigmaNorm:
     def test_arc_slot_calls(self, rng, monkeypatch):
         import lpkit.specconf as specconf
 
-        calls = []
-        real = specconf.fpzn_norms
+        calls, point_calls = [], []
+        real, real_points = specconf.fpzn_norms, specconf.fpzn_norms_ragged
 
         def counting(xs, p, **kwargs):
             solved = real(xs, p, **kwargs)
             calls.append((brackets(solved), kwargs))
             return solved
 
+        def counting_points(xis, p, **kwargs):
+            solved = real_points(xis, p, **kwargs)
+            point_calls.append([brackets(s) for s in solved])
+            return solved
+
         monkeypatch.setattr(specconf, "fpzn_norms", counting)
+        monkeypatch.setattr(specconf, "fpzn_norms_ragged", counting_points)
         f = random_laurent(rng, span=3)
         arcset = ArcSet((0, Fr(1, 2)), ((0.1, 0.15), (0.6, 0.65)))
         est = fpsigma_norm(f, SpectralConfiguration({2: arcset}), 3, seed=0)
-        # the points, the grid of one orbit (one arc), ten k-section steps of
-        # eight angles each, then the best arc angle's two rotations at the
-        # tight tolerance
+        # the points 0 and 1/2 are one orbit: one tuple
+        [points] = point_calls
+        assert [len(ests) for ests in points] == [1]
+        # the grid of one orbit (one arc), ten k-section steps of eight angles
+        # each, then the best arc angle's two rotations at the tight tolerance
         grid = len(ArcSet(arcs=((0.1, 0.15),)).arc_grid(1.0 / 2048))
-        assert [len(ests) for ests, _ in calls] == [2, grid] + [8] * 10 + [2]
+        assert [len(ests) for ests, _ in calls] == [grid] + [8] * 10 + [2]
         # only the steps start from a carried witness
         carried = [kwargs.get("start") is not None for _, kwargs in calls]
-        assert carried == [False, False] + [True] * 10 + [False]
+        assert carried == [False] + [True] * 10 + [False]
         assert calls[-1][1].get("tol") == TIGHT_TOL
-        best = max((e for ests, _ in calls for e in ests), key=lambda e: e.lower)
+        solved = points[0] + [e for ests, _ in calls for e in ests]
+        best = max(solved, key=lambda e: e.lower)
         assert est.lower == best.lower
         assert np.array_equal(est.witness, best.witness)
 

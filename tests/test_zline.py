@@ -163,6 +163,21 @@ class TestFpzNorm:
         with pytest.raises(ValueError, match=message):
             fpz_norm(poly((0, 1), (3, 0.5j)), 1.5, tol=tol, n_max=n_max)
 
+    def test_n_max_cap(self, monkeypatch):
+        # n_max above 16384 is refused before any ascent; 16384 itself is taken
+        import lpkit.cyclic as cyclic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before checking n_max")
+
+        monkeypatch.setattr(cyclic, "boyd_lower", refuse)
+        f = poly((0, 1), (1, 0.5), (3, 0.5j))  # l1 2 > sup 1.949: no bracket closes at n = 1
+        for n_max in (16385, 10**9):
+            with pytest.raises(ValueError, match="n_max must be at most 16384"):
+                fpz_norm(f, 1.5, n_max=n_max)
+        with pytest.raises(AssertionError, match="solved before checking n_max"):
+            fpz_norm(f, 1.5, n_max=16384)
+
     def test_upper_is_fpz_upper(self, rng):
         for f in [random_laurent(rng, span=s) for s in (1, 3, 6)] + [poly()]:
             for p in (1.0, 1.5, 2.0, 3.0):
