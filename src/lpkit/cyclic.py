@@ -12,6 +12,7 @@ other exponents are bracketed through the pnorm engine with FFT matvecs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ import numpy as np
 from .pnorm import (
     _CHUNK_COLUMNS,
     _CONVERGENCE_TOL,
-    PAD_ORDER,
     TIGHT_TOL,
     NormEstimate,
     as_exponent,
@@ -284,30 +284,41 @@ def _upper(p: float, n1: np.ndarray, n2: np.ndarray, lower: np.ndarray) -> np.nd
 
 def fpzn_norms_ragged(xis, p, *, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """fpzn_norms at TIGHT_TOL of each (k, n) array in a list of any orders, as a list
-    of (lower, upper, witness) triples, with every order from 2 to PAD_ORDER in one ascent.
+    of (lower, upper, witness) triples, every ascent through one pnorm.stacked_lower call.
 
-    Those tuples are solved together as dense circulants (pnorm.stacked_lower,
-    from fpzn_norms' start block for n <= 32), so the ascent's iteration count
-    is the largest over the orders, not their sum; upper bounds come from the
-    same Gelfand data as in fpzn_norms.  p in {1, 2}, order 1 and orders above
-    PAD_ORDER take fpzn_norms itself, one call per array.
+    There the tuples of small order are solved together as dense circulants
+    (from fpzn_norms' start block for n <= 32), so the ascent's iteration
+    count is the largest over the orders, not their sum; an array of larger
+    order gets one FFT fpzn_norms call for all its rows.  Upper bounds come
+    from the same Gelfand data as in fpzn_norms.  p in {1, 2}, order 1 and
+    empty arrays take fpzn_norms' exact paths.
     """
     p = as_exponent(p)
     xis = [_coordinates(xi) for xi in xis]
-    # the arrays solved together: their coefficient rows and endpoint norms
-    dense = {i: _endpoint_norms(xi, np.abs(xi)) for i, xi in enumerate(xis)
-             if p not in (1.0, 2.0) and 2 <= xi.shape[1] <= PAD_ORDER and len(xi)}
-    out = [None if i in dense else fpzn_norms(xi, p, tol=TIGHT_TOL, seed=seed)
-           for i, xi in enumerate(xis)]
-    if dense:
-        mats = [C for coeffs, _, _ in dense.values()
-                for C in coeffs[:, _circulant_index(coeffs.shape[1])]]
-        lower, W = stacked_lower(mats, [default_starts(len(C), 32, seed) for C in mats], p)
-        lo = 0
-        for i, (_, n1, n2) in dense.items():
-            hi = lo + len(n1)
-            out[i] = lower[lo:hi], _upper(p, n1, n2, lower[lo:hi]), np.array(W[lo:hi])
-            lo = hi
+    out = [fpzn_norms(xi, p) if p in (1.0, 2.0) or xi.shape[1] == 1 or not len(xi) else None
+           for xi in xis]
+    ascents = [i for i, solved in enumerate(out) if solved is None]
+    rows = [(i, r) for i in ascents for r in range(len(xis[i]))]
+    # coefficient rows and endpoint norms of each array
+    data = {i: _endpoint_norms(xis[i], np.abs(xis[i])) for i in ascents}
+    fft = functools.cache(lambda i: fpzn_norms(xis[i], p, tol=TIGHT_TOL, seed=seed))
+
+    def circulant(j: int) -> np.ndarray:
+        i, r = rows[j]
+        return data[i][0][r, _circulant_index(xis[i].shape[1])]
+
+    def alone(j: int) -> tuple[float, np.ndarray]:
+        i, r = rows[j]
+        lower, _, witness = fft(i)
+        return lower[r], witness[r]
+
+    lower, W = stacked_lower([xis[i].shape[1] for i, _ in rows], circulant, p, alone, seed=seed)
+    lo = 0
+    for i in ascents:
+        _, n1, n2 = data[i]
+        hi = lo + len(n1)
+        out[i] = lower[lo:hi], _upper(p, n1, n2, lower[lo:hi]), np.array(W[lo:hi])
+        lo = hi
     return out
 
 

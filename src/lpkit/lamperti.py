@@ -333,11 +333,12 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
     J. Math. 8 (1958)).  Each f(B_c) is built from the matrix's own entries,
     bracketed exactly at p in {1, 2} (opnorm) and otherwise by
     pnorm.grouped_opnorm, one ascent for all blocks of order up to
-    pnorm.PAD_ORDER: the largest block lower bound, with its witness placed
-    at that cycle's atoms, and the largest block Riesz-Thorin bound, each
-    at most the whole matrix's.  via-sigma: configuration norm of f over
-    sigma(v), exact for atomic v since all finite slots are point sets.
-    both: the pair, whose brackets must overlap.
+    pnorm.PAD_ORDER and opnorm's own for each larger block: the largest
+    block lower bound, with its witness placed at that cycle's atoms, and
+    the largest block Riesz-Thorin bound, each at most the whole matrix's.
+    via-sigma: configuration norm of f over sigma(v), exact for atomic v
+    since all finite slots are point sets.  both: the pair, whose brackets
+    must overlap.
     """
     p = as_exponent(p)
     if mode not in ("direct", "via-sigma", "both"):

@@ -39,7 +39,9 @@ _TINY = np.finfo(float).tiny
 _SECTIONS = 8
 # widest block one grouped ascent iterates; bounds its memory, not its result
 _CHUNK_COLUMNS = 4096
-# largest order stacked_lower zero-pads a matrix to; each larger order gets its own ascent
+# largest order stacked_lower zero-pads a matrix to; a larger one gets its own ascent.
+# Cycle blocks of order 20 and 24 took 16-28% longer padded at TIGHT_TOL than in
+# opnorm's own ascent; up to 16 the padded ascent was no slower
 PAD_ORDER = 16
 
 _log = logging.getLogger(__name__)
@@ -344,64 +346,73 @@ def _stacked_matmats(stack: np.ndarray):
     return (lambda X: product(X, mats)), (lambda X: product(X, adjoints)), select
 
 
-def stacked_lower(mats, starts, p: float) -> tuple[np.ndarray, list]:
-    """Boyd lower bounds of a ragged list of square matrices, as groups of one ascent
-    at TIGHT_TOL.
+def stacked_lower(orders, matrix, p: float, alone, *, seed: int = 0) -> tuple[np.ndarray, list]:
+    """Boyd lower bounds of a list of square matrices of the given orders, as arrays
+    (values, witnesses): matrix(i) returns matrix i, and alone(i) bounds it on its
+    own, returning its value and unit-norm witness.
 
-    Matrix g and its start block starts[g] (one column per start) are
-    zero-padded to the largest order and to the widest block.  A padded
+    The matrices of order up to PAD_ORDER run as the groups of one ascent at
+    TIGHT_TOL, each from default_starts(order, 32, seed), zero-padded to the
+    largest of those orders and to the widest start block.  A padded
     coordinate stays zero and a zero start column settles at once, so each
     group runs as it would alone, up to the roundoff of the dense products;
     the number of iterations is the largest over the matrices, not their sum.
     Blocks hold at most _CHUNK_COLUMNS columns; longer lists run as several.
-    Callers pass orders up to PAD_ORDER together and each larger order on
-    its own, so no matrix is padded past PAD_ORDER.  Returns (values,
-    witnesses): the re-evaluated values, shape (len(mats),), and each
-    matrix's unit-norm witness, cut back to its order.
+    Every larger matrix goes to alone(i) and is never built here.  Returns the
+    values, shape (len(orders),), and each matrix's witness, of its own order.
     """
-    size = max(len(A) for A in mats)
-    k = max(S.shape[1] for S in starts)
+    values, W = np.zeros(len(orders)), [None] * len(orders)
+    padded = []
+    for i, n in enumerate(orders):
+        if n <= PAD_ORDER:
+            padded.append(i)
+        else:
+            values[i], W[i] = alone(i)
+    if not padded:
+        return values, W
+    size = max(orders[i] for i in padded)
+    k = max(default_starts(orders[i], 32, seed).shape[1] for i in padded)
     per_block = max(1, _CHUNK_COLUMNS // k)
-    values, W = [], []
-    for lo in range(0, len(mats), per_block):
-        part = range(lo, min(lo + per_block, len(mats)))
+    for lo in range(0, len(padded), per_block):
+        part = padded[lo:lo + per_block]
         stack = np.zeros((len(part), size, size), dtype=complex)
         block = np.zeros((size, len(part) * k), dtype=complex)
         for g, i in enumerate(part):
-            n = len(mats[i])
-            stack[g, :n, :n] = mats[i]
-            block[:n, g * k:g * k + starts[i].shape[1]] = starts[i]
+            n = orders[i]
+            starts = default_starts(n, 32, seed)
+            stack[g, :n, :n] = matrix(i)
+            block[:n, g * k:g * k + starts.shape[1]] = starts
         matmat, rmatmat, select = _stacked_matmats(stack)
-        found = boyd_lower(matmat, rmatmat, block, p, tol=TIGHT_TOL, groups=len(part),
-                           select=select)
-        values.append(found[0])
-        W.extend(found[1][:len(mats[i]), g] for g, i in enumerate(part))
-    return np.concatenate(values), W
+        values[part], found = boyd_lower(matmat, rmatmat, block, p, tol=TIGHT_TOL,
+                                         groups=len(part), select=select)
+        for g, i in enumerate(part):
+            W[i] = found[:orders[i], g]
+    return values, W
 
 
 def _interpolation_upper_of(A: np.ndarray, p: float) -> float:
     return interpolation_upper(p, _norm1(A)[0], _norm2(A)[0], _norm_inf(A))
 
 
+def _dense_lower(A: np.ndarray, p: float, seed: int) -> tuple[float, np.ndarray]:
+    """opnorm's lower bound of A at p outside {1, 2}, with its witness: one ascent
+    from default_starts(n, 32, seed) at the default tolerance."""
+    [lower], W = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X,
+                            default_starts(len(A), 32, seed), p)
+    return float(lower), W[:, 0]
+
+
 def grouped_opnorm(mats, p, *, seed: int = 0) -> list[NormEstimate]:
     """opnorm of each matrix in a list at p outside {1, 2}, where opnorm is exact.
 
-    The same start blocks and Riesz-Thorin upper bounds as opnorm, but one
-    ascent at TIGHT_TOL (stacked_lower) for all orders up to PAD_ORDER and
-    one per larger order.
+    The same Riesz-Thorin upper bounds as opnorm; the lower bounds of all
+    orders up to PAD_ORDER come from one ascent at TIGHT_TOL (stacked_lower),
+    and each larger matrix keeps opnorm's own ascent.
     """
     p = as_exponent(p)
     mats = [_as_square_matrix(A) for A in mats]
-    # orders up to PAD_ORDER share one family, each larger order has its own
-    family_of = np.maximum([len(A) for A in mats], PAD_ORDER)
-    lower, W = np.zeros(len(mats)), [None] * len(mats)
-    for n in np.unique(family_of):
-        family = np.flatnonzero(family_of == n)
-        lower[family], ws = stacked_lower([mats[i] for i in family],
-                                          [default_starts(len(mats[i]), 32, seed) for i in family],
-                                          p)
-        for i, w in zip(family, ws):
-            W[i] = w
+    lower, W = stacked_lower([len(A) for A in mats], mats.__getitem__, p,
+                             lambda i: _dense_lower(mats[i], p, seed), seed=seed)
     return [NormEstimate(float(lo), float(max(_interpolation_upper_of(A, p), lo)), w,
                          "boyd+interp") for A, lo, w in zip(mats, lower, W)]
 
@@ -428,10 +439,9 @@ def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
         val, w = _norm2(A)
         return NormEstimate(val, val, w, "exact-p2")
 
-    starts = default_starts(n, 32, seed)
-    [lower], W = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p)
+    lower, w = _dense_lower(A, p, seed)
     upper = _interpolation_upper_of(A, p)
-    return NormEstimate(float(lower), float(max(upper, lower)), W[:, 0], "boyd+interp")
+    return NormEstimate(lower, float(max(upper, lower)), w, "boyd+interp")
 
 
 def section_max(f, center, half, steps: int):

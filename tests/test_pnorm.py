@@ -419,3 +419,36 @@ class TestCompaction:
         (want,), kept = self._solve(monkeypatch, xs, 1.5, keep_settled=True)
         assert got.lower == want.lower
         assert sum(narrowed) <= 0.75 * sum(kept)
+
+
+class TestStackedLower:
+    def test_pads_only_up_to_cap(self, rng, monkeypatch):
+        # orders up to PAD_ORDER share one ascent padded to the largest of them;
+        # a larger matrix is never built, and alone() gives its bound
+        import lpkit.pnorm as pnorm_mod
+
+        orders = [3, pnorm_mod.PAD_ORDER + 4, 5]
+        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in orders]
+        built, solved, sizes = [], [], []
+        real = pnorm_mod.boyd_lower
+
+        def counting(matmat, rmatmat, starts, p, **kwargs):
+            sizes.append((starts.shape[0], kwargs["groups"], kwargs["tol"]))
+            return real(matmat, rmatmat, starts, p, **kwargs)
+
+        def alone(i):
+            solved.append(i)
+            return 7.0, np.ones(orders[i])
+
+        monkeypatch.setattr(pnorm_mod, "boyd_lower", counting)
+        values, W = pnorm_mod.stacked_lower(orders, lambda i: built.append(i) or mats[i], 3.0,
+                                            alone, seed=0)
+        assert built == [0, 2] and solved == [1]
+        assert sizes == [(5, 2, pnorm_mod.TIGHT_TOL)]
+        assert values[1] == 7.0 and np.array_equal(W[1], np.ones(orders[1]))
+        monkeypatch.setattr(pnorm_mod, "boyd_lower", real)
+        for i in (0, 2):
+            assert W[i].shape == (orders[i],)
+            ratio = pnorm(mats[i] @ W[i], 3.0) / pnorm(W[i], 3.0)
+            assert ratio == pytest.approx(values[i], rel=1e-12)
+            assert values[i] >= opnorm(mats[i], 3.0, seed=0).lower * (1.0 - 1e-9)
