@@ -8,12 +8,12 @@ cyclic bounds reach it as soon as the cycle outgrows the support.
 
 import numpy as np
 
-from lpkit import LaurentPolynomial, cyclic_lower, fpz_norm, norm_l1, norm_sup
+from lpkit import LaurentPolynomial, cyclic_lower, fpz_norm, norm_l1, sup_exact
 
 f = LaurentPolynomial(((-1, 0.5 - 0.25j), (0, 1.0), (2, -1.0 + 1.0j)))
 print("f =", " + ".join(f"({a:.3g}) x^{m}" for m, a in f.terms))
 print(f"coefficient l1 norm : {norm_l1(f):.10f}")
-print(f"sup of |f| on circle: {norm_sup(f):.10f}\n")
+print(f"sup of |f| on circle: {sup_exact(f)[0]:.10f}\n")
 
 print("cyclic lower bounds at p = 1 climb to the l1 norm:")
 for n in (1, 2, 4, 8, 16, 32):

@@ -48,7 +48,7 @@ from .specconf import (
     order,
     saturate,
 )
-from .zline import LaurentPolynomial, cyclic_lower, fpz_norm, norm_l1, norm_sup
+from .zline import LaurentPolynomial, cyclic_lower, fpz_norm, norm_l1, sup_exact
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "measure_normalize",
     "membership_probe",
     "norm_l1",
-    "norm_sup",
     "opnorm",
     "opnorm_oracle",
     "order",
@@ -91,6 +90,7 @@ __all__ = [
     "rotate",
     "saturate",
     "spectral_configuration_of",
+    "sup_exact",
     "to_matrix",
     "__version__",
 ]

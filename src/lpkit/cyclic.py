@@ -12,7 +12,6 @@ other exponents are bracketed through the pnorm engine with FFT matvecs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -286,39 +285,27 @@ def fpzn_norms_ragged(xis, p, *, seed: int = 0) -> list[tuple[np.ndarray, np.nda
     """fpzn_norms at TIGHT_TOL of each (k, n) array in a list of any orders, as a list
     of (lower, upper, witness) triples, every ascent through one pnorm.stacked_lower call.
 
-    There the tuples of small order are solved together as dense circulants
-    (from fpzn_norms' start block for n <= 32), so the ascent's iteration
-    count is the largest over the orders, not their sum; an array of larger
-    order gets one FFT fpzn_norms call for all its rows.  Upper bounds come
-    from the same Gelfand data as in fpzn_norms.  p in {1, 2}, order 1 and
-    empty arrays take fpzn_norms' exact paths.
+    There each array is one stack of its rows' dense circulants: those of small
+    order are solved together (from fpzn_norms' start block for n <= 32), so
+    the ascent's iteration count is the largest over the orders, not their
+    sum; an array of larger order gets one FFT fpzn_norms call for all its
+    rows.  Upper bounds come from the same Gelfand data as in fpzn_norms.
+    p in {1, 2}, order 1 and empty arrays take fpzn_norms' exact paths.
     """
     p = as_exponent(p)
     xis = [_coordinates(xi) for xi in xis]
     out = [fpzn_norms(xi, p) if p in (1.0, 2.0) or xi.shape[1] == 1 or not len(xi) else None
            for xi in xis]
     ascents = [i for i, solved in enumerate(out) if solved is None]
-    rows = [(i, r) for i in ascents for r in range(len(xis[i]))]
-    # coefficient rows and endpoint norms of each array
-    data = {i: _endpoint_norms(xis[i], np.abs(xis[i])) for i in ascents}
-    fft = functools.cache(lambda i: fpzn_norms(xis[i], p, tol=TIGHT_TOL, seed=seed))
-
-    def circulant(j: int) -> np.ndarray:
-        i, r = rows[j]
-        return data[i][0][r, _circulant_index(xis[i].shape[1])]
-
-    def alone(j: int) -> tuple[float, np.ndarray]:
-        i, r = rows[j]
-        lower, _, witness = fft(i)
-        return lower[r], witness[r]
-
-    lower, W = stacked_lower([xis[i].shape[1] for i, _ in rows], circulant, p, alone, seed=seed)
-    lo = 0
-    for i in ascents:
-        _, n1, n2 = data[i]
-        hi = lo + len(n1)
-        out[i] = lower[lo:hi], _upper(p, n1, n2, lower[lo:hi]), np.array(W[lo:hi])
-        lo = hi
+    arrays = [xis[i] for i in ascents]
+    # coefficient rows and endpoint norms of each array; alone(j) is fpzn_norms' (lower, witness)
+    data = [_endpoint_norms(xi, np.abs(xi)) for xi in arrays]
+    found = stacked_lower([xi.shape for xi in arrays],
+                          lambda j: data[j][0][:, _circulant_index(arrays[j].shape[1])], p,
+                          lambda j: fpzn_norms(arrays[j], p, tol=TIGHT_TOL, seed=seed)[::2],
+                          seed=seed)
+    for i, (_, n1, n2), (lower, witness) in zip(ascents, data, found):
+        out[i] = lower, _upper(p, n1, n2, lower), witness
     return out
 
 

@@ -311,13 +311,22 @@ def spectral_configuration_of(v: SpatialIsometry) -> SpectralConfiguration:
     return SpectralConfiguration(slots, infinity_full=v.aperiodic)
 
 
-def _cycle_blocks(f: LaurentPolynomial, A: np.ndarray, cycles) -> list[np.ndarray]:
-    """f(B) for the block B of the complex permutation matrix A on each cycle's
-    atoms, in the cycle's T-order; B^-1 is B transposed with its entries inverted."""
+def _cycle_blocks(f: LaurentPolynomial, v: SpatialIsometry, p: float, cycles) -> list[np.ndarray]:
+    """f(B) for the block B of v's standardized matrix on each cycle's atoms, in the
+    cycle's T-order, read from v's entries: with x_j the cycle's j-th atom, y = T(x_j)
+    and d = w^(1/p), B[j + 1, j] = s_j = d[y] (h[y] (w[x_j] / w[y])^(1/p)) / d[x_j]
+    and B^-1[j, j + 1] = 1 / s_j (indices mod N), so no n x n matrix is built."""
+    w = v.space.weights
+    d = w ** (1.0 / p)
     blocks = []
     for c in cycles:
-        B = A[np.ix_(c.atoms, c.atoms)]
-        B_inv = np.divide(1.0, B.T, out=np.zeros_like(B), where=B.T != 0)
+        x = np.array(c.atoms)
+        y = v.T[x]
+        # one atom at a time, as to_matrix: a vectorized power can differ in the last bit
+        s = d[y] * np.array([v.h[b] * (w[a] / w[b]) ** (1.0 / p) for a, b in zip(x, y)]) / d[x]
+        j = np.arange(len(x))
+        B, B_inv = np.zeros((2, len(x), len(x)), dtype=complex)
+        B[(j + 1) % len(x), j], B_inv[j, (j + 1) % len(x)] = s, 1.0 / s
         blocks.append(sum((a * np.linalg.matrix_power(B if m >= 0 else B_inv, abs(m))
                            for m, a in f.terms), np.zeros_like(B)))
     return blocks
@@ -330,7 +339,7 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
     direct: the finite part only.  The standardized matrix of v is the direct
     sum of its blocks on the cycles of T, so f(v) is the direct sum of the
     blocks f(B_c), and its ell^p norm is their largest (Lamperti, Pacific
-    J. Math. 8 (1958)).  Each f(B_c) is built from the matrix's own entries,
+    J. Math. 8 (1958)).  Each f(B_c) is built from v's entries (_cycle_blocks),
     bracketed exactly at p in {1, 2} (opnorm) and otherwise by
     pnorm.grouped_opnorm, one ascent for all blocks of order up to
     pnorm.PAD_ORDER and opnorm's own for each larger block: the largest
@@ -348,7 +357,7 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
         if v.aperiodic:
             raise ValueError("direct mode needs aperiodic = False")
         cycles = periods(v).cycles
-        blocks = _cycle_blocks(f, standardized_matrix(v, p), cycles)
+        blocks = _cycle_blocks(f, v, p, cycles)
         if p in (1.0, 2.0):
             ests = [opnorm(B, p) for B in blocks]
         else:

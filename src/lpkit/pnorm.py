@@ -34,6 +34,8 @@ _CONVERGENCE_TOL = 1e-10
 TIGHT_TOL = 1e-12
 # stagnant iterations after which boyd_lower stops (defined in its docstring)
 _STALL_ITERS = 50
+# iterations after which boyd_lower stops (stop reason max_iter)
+_MAX_ITER = 10_000
 _TINY = np.finfo(float).tiny
 # points section_max evaluates per step
 _SECTIONS = 8
@@ -198,8 +200,7 @@ def _narrow(running, settled) -> np.ndarray:
 
 
 def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
-               tol: float = _CONVERGENCE_TOL, max_iter: int = 10_000, *,
-               groups: int = 1, select=lambda groups: None,
+               tol: float = _CONVERGENCE_TOL, *, groups: int = 1, select=lambda groups: None,
                incumbent: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Monotone lower bound on an operator p-norm by Boyd's ascent.
 
@@ -281,7 +282,7 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
         return [np.take(B, keep, axis=-1) for B in blocks]
 
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         g, V = _norm_and_dual(matmat(X), p)
         improved = g > best_val[cols]
         best_val[cols[improved]] = g[improved]
@@ -346,75 +347,74 @@ def _stacked_matmats(stack: np.ndarray):
     return (lambda X: product(X, mats)), (lambda X: product(X, adjoints)), select
 
 
-def stacked_lower(orders, matrix, p: float, alone, *, seed: int = 0) -> tuple[np.ndarray, list]:
-    """Boyd lower bounds of a list of square matrices of the given orders, as arrays
-    (values, witnesses): matrix(i) returns matrix i, and alone(i) bounds it on its
-    own, returning its value and unit-norm witness.
+def stacked_lower(shapes, stack, p: float, alone, *, seed: int = 0) -> list:
+    """Boyd lower bounds of a list of (k, n, n) stacks of square matrices, as one pair
+    of arrays (values, witnesses) per stack, of shapes (k,) and (k, n): shapes[i] is
+    (k, n), stack(i) builds stack i, and alone(i) bounds stack i on its own.
 
-    The matrices of order up to PAD_ORDER run as the groups of one ascent at
-    TIGHT_TOL, each from default_starts(order, 32, seed), zero-padded to the
-    largest of those orders and to the widest start block.  A padded
-    coordinate stays zero and a zero start column settles at once, so each
-    group runs as it would alone, up to the roundoff of the dense products;
-    the number of iterations is the largest over the matrices, not their sum.
-    Blocks hold at most _CHUNK_COLUMNS columns; longer lists run as several.
-    Every larger matrix goes to alone(i) and is never built here.  Returns the
-    values, shape (len(orders),), and each matrix's witness, of its own order.
+    The rows of the stacks of order up to PAD_ORDER run as the groups of one
+    ascent at TIGHT_TOL, stack after stack, each from default_starts(n, 32, seed),
+    zero-padded to the largest of those orders and to the widest start block.
+    A padded coordinate stays zero and a zero start column settles at once,
+    so each row runs as it would alone, up to the roundoff of the dense
+    products; the number of iterations is the largest over the rows, not
+    their sum.  Blocks hold at most _CHUNK_COLUMNS columns; more rows run as
+    several.  Every larger stack goes to alone(i) and is never built here.
     """
-    values, W = np.zeros(len(orders)), [None] * len(orders)
-    padded = []
-    for i, n in enumerate(orders):
-        if n <= PAD_ORDER:
-            padded.append(i)
-        else:
-            values[i], W[i] = alone(i)
-    if not padded:
-        return values, W
-    size = max(orders[i] for i in padded)
-    k = max(default_starts(orders[i], 32, seed).shape[1] for i in padded)
+    out = [alone(i) if n > PAD_ORDER else None for i, (_, n) in enumerate(shapes)]
+    small = [i for i, solved in enumerate(out) if solved is None]
+    if not small:
+        return out
+    size = max(shapes[i][1] for i in small)
+    k = max(default_starts(shapes[i][1], 32, seed).shape[1] for i in small)
+    counts = [shapes[i][0] for i in small]
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(small)), counts)  # each row's stack
+    mats = np.zeros((ends[-1], size, size), dtype=complex)
+    starts = np.zeros((len(small), size, k), dtype=complex)
+    for g, i in enumerate(small):
+        n, own = shapes[i][1], default_starts(shapes[i][1], 32, seed)
+        mats[ends[g] - counts[g]:ends[g], :n, :n] = stack(i)
+        starts[g, :n, :own.shape[1]] = own
+    values, W = np.zeros(len(mats)), np.zeros((size, len(mats)), dtype=complex)
     per_block = max(1, _CHUNK_COLUMNS // k)
-    for lo in range(0, len(padded), per_block):
-        part = padded[lo:lo + per_block]
-        stack = np.zeros((len(part), size, size), dtype=complex)
-        block = np.zeros((size, len(part) * k), dtype=complex)
-        for g, i in enumerate(part):
-            n = orders[i]
-            starts = default_starts(n, 32, seed)
-            stack[g, :n, :n] = matrix(i)
-            block[:n, g * k:g * k + starts.shape[1]] = starts
-        matmat, rmatmat, select = _stacked_matmats(stack)
-        values[part], found = boyd_lower(matmat, rmatmat, block, p, tol=TIGHT_TOL,
-                                         groups=len(part), select=select)
-        for g, i in enumerate(part):
-            W[i] = found[:orders[i], g]
-    return values, W
+    for lo in range(0, len(mats), per_block):
+        part = slice(lo, lo + per_block)
+        matmat, rmatmat, select = _stacked_matmats(mats[part])
+        block = np.concatenate(starts[owner[part]], axis=1)
+        values[part], W[:, part] = boyd_lower(matmat, rmatmat, block, p, tol=TIGHT_TOL,
+                                              groups=len(mats[part]), select=select)
+    for i, lower, found in zip(small, np.split(values, ends[:-1]), np.split(W, ends[:-1], axis=1)):
+        out[i] = lower, found[:shapes[i][1]].T
+    return out
 
 
 def _interpolation_upper_of(A: np.ndarray, p: float) -> float:
     return interpolation_upper(p, _norm1(A)[0], _norm2(A)[0], _norm_inf(A))
 
 
-def _dense_lower(A: np.ndarray, p: float, seed: int) -> tuple[float, np.ndarray]:
-    """opnorm's lower bound of A at p outside {1, 2}, with its witness: one ascent
-    from default_starts(n, 32, seed) at the default tolerance."""
-    [lower], W = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X,
-                            default_starts(len(A), 32, seed), p)
-    return float(lower), W[:, 0]
+def _dense_lower(A: np.ndarray, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """opnorm's lower bound of A at p outside {1, 2} and its witness, as arrays of
+    shapes (1,) and (1, n): one ascent from default_starts(n, 32, seed) at the
+    default tolerance."""
+    values, W = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X,
+                           default_starts(len(A), 32, seed), p)
+    return values, W.T
 
 
 def grouped_opnorm(mats, p, *, seed: int = 0) -> list[NormEstimate]:
     """opnorm of each matrix in a list at p outside {1, 2}, where opnorm is exact.
 
     The same Riesz-Thorin upper bounds as opnorm; the lower bounds of all
-    orders up to PAD_ORDER come from one ascent at TIGHT_TOL (stacked_lower),
-    and each larger matrix keeps opnorm's own ascent.
+    orders up to PAD_ORDER come from one ascent at TIGHT_TOL (stacked_lower, each
+    matrix a stack of one), and each larger matrix keeps opnorm's own ascent.
     """
     p = as_exponent(p)
     mats = [_as_square_matrix(A) for A in mats]
-    lower, W = stacked_lower([len(A) for A in mats], mats.__getitem__, p,
-                             lambda i: _dense_lower(mats[i], p, seed), seed=seed)
+    found = stacked_lower([(1, len(A)) for A in mats], lambda i: mats[i][None], p,
+                          lambda i: _dense_lower(mats[i], p, seed), seed=seed)
     return [NormEstimate(float(lo), float(max(_interpolation_upper_of(A, p), lo)), w,
-                         "boyd+interp") for A, lo, w in zip(mats, lower, W)]
+                         "boyd+interp") for A, ([lo], [w]) in zip(mats, found)]
 
 
 def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
@@ -439,9 +439,9 @@ def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
         val, w = _norm2(A)
         return NormEstimate(val, val, w, "exact-p2")
 
-    lower, w = _dense_lower(A, p, seed)
+    [lower], [w] = _dense_lower(A, p, seed)
     upper = _interpolation_upper_of(A, p)
-    return NormEstimate(lower, float(max(upper, lower)), w, "boyd+interp")
+    return NormEstimate(float(lower), float(max(upper, lower)), w, "boyd+interp")
 
 
 def section_max(f, center, half, steps: int):

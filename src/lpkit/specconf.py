@@ -7,9 +7,10 @@ norm on Laurent polynomials (slotwise sup of cyclic tuple norms), a
 saturation operation, a complete lattice order, a dichotomy classifier and
 a bump-function membership probe.
 
-Angles are stored in turns.  Rational angles are kept as exact fractions so
-rotation invariance, saturation and equality are exact set operations;
-irrational inputs stay floats and are compared at 1e-12.
+Angles are stored in turns.  Rational angles are kept as exact fractions, so
+rotations and saturation stay exact; irrational inputs stay floats.  Any two
+angles are equal when their circular distance is at most 5e-12: snapping
+two nearby float roots can give two distinct fractions.
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ def _circ_dist(a: Angle, b: Angle) -> float:
 
 
 def _angle_eq(a: Angle, b: Angle) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
     return _circ_dist(a, b) <= _ANGLE_TOL
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, json_complex, json_int
-from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, interpolation_upper, section_max
+from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, interpolation_upper
 
 __all__ = [
     "LaurentPolynomial",
@@ -31,7 +31,7 @@ __all__ = [
     "fpz_norm",
     "fpz_upper",
     "norm_l1",
-    "norm_sup",
+    "sup_exact",
 ]
 
 # widest degree span from_json reads: sup_exact's companion matrix is (2 span)^2
@@ -102,20 +102,6 @@ class LaurentPolynomial:
 def norm_l1(f: LaurentPolynomial) -> float:
     """Sum of |a_m|; equals the convolution norm on ell^1(Z) exactly."""
     return float(np.sum(np.abs(f.coefficients)))
-
-
-def norm_sup(f: LaurentPolynomial, grid: int = 2048) -> float:
-    """Max of |f| over an equispaced circle grid, refined at the argmax.
-
-    Equals the p = 2 convolution norm within grid resolution.
-    """
-    if grid < 4 * max(f.span, 1):
-        raise ValueError("grid must be at least four times the degree span")
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    vals = np.abs(f(np.exp(1j * theta)))
-    k = int(np.argmax(vals))
-    _, v = section_max(lambda t: np.abs(f(np.exp(1j * t))), theta[k], 2.0 * np.pi / grid, 20)
-    return max(float(vals[k]), float(v))
 
 
 def sup_exact(f: LaurentPolynomial) -> tuple[float, complex]:

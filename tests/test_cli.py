@@ -406,6 +406,21 @@ def test_json_flags_read_as_booleans(capsys, tmp_path):
     assert rc == EXIT_OK and json.loads(out)["result"]["infinity"] == "full"
 
 
+def test_long_cycle_sigma_accepted(files, capsys, tmp_path):
+    # the 25th roots of this phase snap to fractions, and a root and the exact
+    # rotation of its neighbour can snap to unequal ones (729177/947092 against
+    # 14826628/19257575); the slot must still read as rotation invariant
+    phase = 2.0 * math.pi * 0.24778690982599533
+    path = tmp_path / "cycle25.json"
+    path.write_text(json.dumps({"weights": [1] * 25, "T": [(i + 1) % 25 for i in range(25)],
+                                "h": [[math.cos(phase), math.sin(phase)]] + [[1, 0]] * 24}))
+    rc, out, _ = run(capsys, "isom", "sigma", "--in", str(path))
+    assert rc == EXIT_OK and len(json.loads(out)["result"]["finite"]["25"]["points"]) == 25
+    rc, out, _ = run(capsys, "norm", "isometry", "--p", "1", "--mode", "both", "--in", str(path),
+                     "--poly", files["poly.json"])
+    assert rc == EXIT_OK and json.loads(out)["overlap"] is True
+
+
 def test_integral_numbers_read_as_integers(capsys, tmp_path):
     # 2.0 is a JSON integer field's value 2, so it answers as the integer does
     path = tmp_path / "in.json"

@@ -237,6 +237,15 @@ class TestSpectralConfigurationOf:
             n_points = sum(len(s.points) for s in sig.finite_slots.values())
             assert n_points == v.space.n_atoms
 
+    def test_long_cycles_accepted(self):
+        # snapping neighbouring roots of a long cycle's phase can give unequal
+        # fractions; every slot must still read as rotation invariant
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            v = random_spatial_isometry(rng, max_atoms=80, max_cycle=40)
+            sig = spectral_configuration_of(v)
+            assert sum(len(s.points) for s in sig.finite_slots.values()) == v.space.n_atoms
+
 
 class TestFpvNorm:
     def test_multiplication_operator_sup(self, rng):
@@ -298,6 +307,29 @@ class TestFpvNorm:
                 assert est.upper == pytest.approx(max(uppers), rel=1e-13)
                 # never above the whole matrix's Riesz-Thorin bound, up to roundoff
                 assert est.upper <= opnorm(fa, p, seed=0).upper * (1.0 + 1e-15)
+
+    def test_direct_reads_cycle_entries(self, rng, monkeypatch):
+        # each cycle block holds the standardized matrix's entries, bit for bit,
+        # read from v itself: the direct path builds no atom-by-atom matrix
+        import lpkit.lamperti as lamperti
+
+        v = relabeled(random_spatial_isometry(rng, max_atoms=30, max_cycle=6), rng)
+        f = random_laurent(rng, span=3, n_terms=4)
+        cycles = periods(v).cycles
+        for p in (1.0, 1.5, 3.0):
+            S = standardized_matrix(v, p)
+            for m, take in ((1, lambda B: B), (-1, lambda B: np.divide(1.0, B.T, out=np.zeros_like(B),
+                                                                        where=B.T != 0))):
+                blocks = lamperti._cycle_blocks(LaurentPolynomial(((m, 1.0),)), v, p, cycles)
+                for B, c in zip(blocks, cycles, strict=True):
+                    assert np.array_equal(B, take(S[np.ix_(c.atoms, c.atoms)]))
+            want = fpv_norm(f, v, p, "direct", seed=0)
+            with monkeypatch.context() as patch:
+                for name in ("standardized_matrix", "to_matrix"):
+                    patch.setattr(lamperti, name, lambda *args: pytest.fail("atom matrix built"))
+                got = fpv_norm(f, v, p, "direct", seed=0)
+            assert (got.lower, got.upper) == (want.lower, want.upper)
+            assert np.array_equal(got.witness, want.witness)
 
     def test_direct_one_ascent(self, rng, monkeypatch):
         # every cycle block of order up to 16 in one grouped ascent at the tight

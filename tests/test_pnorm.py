@@ -203,14 +203,17 @@ class TestTextbookBoyd:
     """boyd_lower's fused half-steps track the ascent as first written."""
 
     @staticmethod
-    def _check(A, p, rng):
+    def _check(A, p, rng, monkeypatch):
+        import lpkit.pnorm as pnorm_mod
+
         # random starts only: basis and DFT starts of a circulant sit on unstable
         # fixed points, which the textbook loop leaves on roundoff alone
         n = A.shape[0]
         starts = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
         for k in (1, 2, 5, 20):
+            monkeypatch.setattr(pnorm_mod, "_MAX_ITER", k)
             (value,), _ = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, starts, p,
-                                     tol=0.0, max_iter=k)
+                                     tol=0.0)
             assert value == pytest.approx(_textbook_boyd(A, starts, p, k), rel=1e-12)
 
     def test_arrays_out(self, rng):
@@ -233,14 +236,15 @@ class TestTextbookBoyd:
             assert pnorm(a @ w, 1.5) == pytest.approx(v, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
-    def test_dense(self, rng, p):
+    def test_dense(self, rng, monkeypatch, p):
         for _ in range(3):
-            self._check(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), p, rng)
+            self._check(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), p, rng,
+                        monkeypatch)
 
     @pytest.mark.parametrize("n", [5, 16, 96])
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
-    def test_circulant(self, rng, n, p):
-        self._check(circulant_of(random_laurent(rng, span=5).samples(n)), p, rng)
+    def test_circulant(self, rng, monkeypatch, n, p):
+        self._check(circulant_of(random_laurent(rng, span=5).samples(n)), p, rng, monkeypatch)
 
 
 class TestSectionMax:
@@ -335,22 +339,24 @@ class TestStallRule:
         assert first == second
 
     @staticmethod
-    def _three_iterations(A):
-        n = A.shape[0]
-        boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, default_starts(n, 32, 0), 1.5,
-                   max_iter=3)
+    def _three_iterations(A, monkeypatch):
+        import lpkit.pnorm as pnorm_mod
 
-    def test_stop_reason_logged(self, rng, caplog):
+        n = A.shape[0]
+        monkeypatch.setattr(pnorm_mod, "_MAX_ITER", 3)
+        boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, default_starts(n, 32, 0), 1.5)
+
+    def test_stop_reason_logged(self, rng, caplog, monkeypatch):
         A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         with caplog.at_level(logging.DEBUG, logger="lpkit"):
-            self._three_iterations(A)
+            self._three_iterations(A, monkeypatch)
         reasons = [r.getMessage() for r in caplog.records if r.name.startswith("lpkit")]
         assert len(reasons) == 1
         assert "(max_iter) after 3 iterations" in reasons[0]
 
-    def test_silent_by_default(self, rng, capsys):
+    def test_silent_by_default(self, rng, capsys, monkeypatch):
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        self._three_iterations(A)
+        self._three_iterations(A, monkeypatch)
         assert capsys.readouterr() == ("", "")
 
 
@@ -422,13 +428,18 @@ class TestCompaction:
 
 
 class TestStackedLower:
+    @staticmethod
+    def _stacks(rng, shapes):
+        return [rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+                for k, n in shapes]
+
     def test_pads_only_up_to_cap(self, rng, monkeypatch):
-        # orders up to PAD_ORDER share one ascent padded to the largest of them;
-        # a larger matrix is never built, and alone() gives its bound
+        # the rows of stacks of order up to PAD_ORDER share one ascent padded to the
+        # largest of them; a larger stack is never built, and alone() bounds it once
         import lpkit.pnorm as pnorm_mod
 
-        orders = [3, pnorm_mod.PAD_ORDER + 4, 5]
-        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in orders]
+        shapes = [(1, 3), (2, pnorm_mod.PAD_ORDER + 4), (2, 5)]
+        stacks = self._stacks(rng, shapes)
         built, solved, sizes = [], [], []
         real = pnorm_mod.boyd_lower
 
@@ -438,17 +449,48 @@ class TestStackedLower:
 
         def alone(i):
             solved.append(i)
-            return 7.0, np.ones(orders[i])
+            return np.full(2, 7.0), np.ones((2, shapes[i][1]))
 
         monkeypatch.setattr(pnorm_mod, "boyd_lower", counting)
-        values, W = pnorm_mod.stacked_lower(orders, lambda i: built.append(i) or mats[i], 3.0,
-                                            alone, seed=0)
+        found = pnorm_mod.stacked_lower(shapes, lambda i: built.append(i) or stacks[i], 3.0,
+                                        alone, seed=0)
         assert built == [0, 2] and solved == [1]
-        assert sizes == [(5, 2, pnorm_mod.TIGHT_TOL)]
-        assert values[1] == 7.0 and np.array_equal(W[1], np.ones(orders[1]))
+        assert sizes == [(5, 3, pnorm_mod.TIGHT_TOL)]
+        assert found[1][0].tolist() == [7.0, 7.0] and np.array_equal(found[1][1], np.ones((2, 20)))
         monkeypatch.setattr(pnorm_mod, "boyd_lower", real)
         for i in (0, 2):
-            assert W[i].shape == (orders[i],)
-            ratio = pnorm(mats[i] @ W[i], 3.0) / pnorm(W[i], 3.0)
-            assert ratio == pytest.approx(values[i], rel=1e-12)
-            assert values[i] >= opnorm(mats[i], 3.0, seed=0).lower * (1.0 - 1e-9)
+            values, W = found[i]
+            assert values.shape == (shapes[i][0],) and W.shape == shapes[i]
+            for A, value, w in zip(stacks[i], values, W, strict=True):
+                assert pnorm(A @ w, 3.0) / pnorm(w, 3.0) == pytest.approx(value, rel=1e-12)
+                assert value >= opnorm(A, 3.0, seed=0).lower * (1.0 - 1e-9)
+
+    def test_chunks_split_rows_by_stack(self, rng, monkeypatch):
+        # blocks of one row each: every stack's rows straddle block boundaries, and
+        # row r of stack i gets the bits of that row solved as a stack of its own.
+        # (Blocks of several rows agree only to roundoff: a dense product's last
+        # bits depend on the block's width.)
+        import lpkit.pnorm as pnorm_mod
+
+        shapes = [(3, 5), (4, 5), (2, 5)]
+        stacks = self._stacks(rng, shapes)
+        groups = []
+        real = pnorm_mod.boyd_lower
+
+        def counting(*args, **kwargs):
+            groups.append(kwargs["groups"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pnorm_mod, "boyd_lower", counting)
+        whole = pnorm_mod.stacked_lower(shapes, stacks.__getitem__, 1.5, None, seed=1)
+        # every start block here has 32 columns (see default_starts)
+        monkeypatch.setattr(pnorm_mod, "_CHUNK_COLUMNS", 32)
+        chunked = pnorm_mod.stacked_lower(shapes, stacks.__getitem__, 1.5, None, seed=1)
+        assert groups == [9] + [1] * 9
+        for stack, (values, W), (got_values, got_W) in zip(stacks, whole, chunked, strict=True):
+            assert got_values.shape == values.shape and got_W.shape == W.shape
+            np.testing.assert_allclose(got_values, values, rtol=1e-12)
+            for row, got_value, got_w in zip(stack, got_values, got_W):
+                [(value, w)] = pnorm_mod.stacked_lower([(1, 5)], lambda i: row[None], 1.5, None,
+                                                       seed=1)
+                assert got_value.tobytes() == value.tobytes() and got_w.tobytes() == w.tobytes()

@@ -417,6 +417,33 @@ class TestFpsigmaNorm:
         assert groups == [(2 + 1 + 2, TIGHT_TOL)]
         assert est.lower == pytest.approx(max(every), rel=1e-11)
 
+    def test_point_order_above_pad_order(self, rng, monkeypatch):
+        # an order-20 slot skips the padded ascent of the order-3 slot: its tuples
+        # keep the brackets of one FFT fpzn_norms call at TIGHT_TOL, bit for bit
+        import lpkit.cyclic as cyclic
+        import lpkit.specconf as specconf
+
+        calls = []
+        real = specconf.fpzn_norms_ragged
+
+        def recording(xis, p, **kwargs):
+            calls.append((xis, real(xis, p, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(specconf, "fpzn_norms_ragged", recording)
+        f = random_laurent(rng, span=3)
+        orbit = lambda n, *bases: [b + Fr(j, n) for b in bases for j in range(n)]
+        cfg = points_config({3: orbit(3, Fr(1, 7)), 20: orbit(20, Fr(1, 41), Fr(1, 43))})
+        for p in (1.5, 3.0):
+            calls.clear()
+            est = fpsigma_norm(f, cfg, p, seed=0)
+            [(xis, solved)] = calls
+            assert [np.shape(xi) for xi in xis] == [(1, 3), (2, 20)]
+            want = cyclic.fpzn_norms(xis[1], p, tol=TIGHT_TOL, seed=0)
+            for got, expected in zip(solved[1], want, strict=True):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert est.lower == max(float(lower.max()) for lower, _, _ in solved)
+
     def test_points_need_no_sup(self, rng, monkeypatch):
         # only an arc or full slot uses the whole-circle upper bound
         import lpkit.specconf as specconf

@@ -11,7 +11,6 @@ from lpkit.zline import (
     fpz_norm,
     fpz_upper,
     norm_l1,
-    norm_sup,
     sup_exact,
 )
 
@@ -55,13 +54,9 @@ class TestL1AndSup:
         assert norm_l1(poly((0, 3), (2, -4j))) == 7.0
 
     def test_sup_examples(self):
-        assert norm_sup(poly((0, 1), (1, 1))) == pytest.approx(2.0, abs=1e-9)
-        assert norm_sup(poly((5, 1))) == pytest.approx(1.0, abs=1e-12)
-        assert norm_sup(poly((0, 1), (1, -1))) == pytest.approx(2.0, abs=1e-9)
-
-    def test_sup_grid_precondition(self):
-        with pytest.raises(ValueError):
-            norm_sup(poly((-3, 1), (3, 1)), grid=20)
+        assert sup_exact(poly((0, 1), (1, 1)))[0] == pytest.approx(2.0, abs=1e-9)
+        assert sup_exact(poly((5, 1)))[0] == pytest.approx(1.0, abs=1e-12)
+        assert sup_exact(poly((0, 1), (1, -1)))[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_sup_exact_against_dense_grid(self, rng):
         for _ in range(6):
@@ -132,7 +127,7 @@ class TestFpzNorm:
             f = random_laurent(rng)
             for p in (1.5, 3.0):
                 est = fpz_norm(f, p, n_max=32)
-                assert norm_sup(f) - 1e-6 <= est.lower
+                assert sup_exact(f)[0] - 1e-6 <= est.lower
                 assert est.lower <= est.upper <= norm_l1(f) + 1e-12
 
     def test_duality(self, rng):
