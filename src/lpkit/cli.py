@@ -293,7 +293,7 @@ def _cmd_sweep(args) -> str:
             upper = fpz_upper(f, args.p)
             for n in _parse_n_grid(args.n_grid):
                 t0 = time.perf_counter()
-                low = cyclic_lower(f, n, args.p)
+                low = cyclic_lower(f, n, args.p, seed=seed)
                 ms = (time.perf_counter() - t0) * 1000.0
                 rows.append((args.p, n, low, upper, ms if args.timings else 0.0))
     return _csv("p,n,lower,upper,runtime_ms", rows)

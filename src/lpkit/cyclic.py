@@ -12,6 +12,7 @@ other exponents are bracketed through the pnorm engine with FFT matvecs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,8 +182,8 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = _CONVERGE
     (|xi_0|, with the method string of the ascent path).  Otherwise the
     bracket comes from Boyd ascent (always seeded with the circulant's
     eigenvectors, so the lower bound dominates max |xi|) and Riesz-Thorin
-    interpolation of the exact endpoint norms.  `restarts` shapes the start
-    block only for n <= 32 (see fpzn_norms).
+    interpolation of the exact endpoint norms.  `restarts` sets the random
+    start columns only for n <= 32 (see fpzn_norms).
     """
     lower, upper, witness = fpzn_norms(x.xi[None], p, restarts=restarts, tol=tol, seed=seed)
     return NormEstimate(float(lower[0]), float(upper[0]), witness[0], method_of(as_exponent(p)))
@@ -207,10 +208,11 @@ def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
     only (all DFT columns for n <= 32, the top 8 for larger n), so the lower
     bound still dominates max |xi| (Higham, Numer. Math. 62 (1992)).
 
-    `restarts` shapes the start block only for n <= 32 without `start`, where
-    random columns top pnorm.default_starts up to `restarts` columns; larger n
-    without `start` take 8 basis vectors, the eigenvectors of the 8 largest
-    |xi| and 16 random columns, whatever `restarts` is.
+    Without `start` the block keeps one basis vector, e_0: a circulant commutes
+    with the cyclic shift, so the ascent from e_j is e_0's rotated by j.  Then
+    come, for n <= 32, the n DFT columns and the random columns of
+    pnorm.default_starts(n, restarts, seed); for larger n, the eigenvectors of
+    the 8 largest |xi| and 16 random columns, whatever `restarts` is.
     """
     p = as_exponent(p)
     xi = _coordinates(xi)
@@ -232,16 +234,16 @@ def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
 
     carried = [] if start is None else [np.reshape(start, (n, 1))]
     if n <= 32:
-        shared = default_starts(n, restarts, seed)
+        shared = _circulant_starts(n, restarts, seed)
         if carried:  # the DFT (eigenvector) columns and the carried vector
-            shared = np.concatenate([shared[:, n:2 * n]] + carried, axis=1)
+            shared = np.concatenate([shared[:, 1:n + 1]] + carried, axis=1)
         starts = [shared] * k
     else:
         rng = np.random.default_rng(seed)
         rand = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
         eigs = np.swapaxes(_eigenvectors(n, np.argsort(mod, axis=1)[:, -8:]), 1, 2)
         starts = [np.concatenate([eig] + carried if carried else
-                                 [np.eye(n, 8, dtype=complex), eig, rand], axis=1)
+                                 [np.eye(n, 1, dtype=complex), eig, rand], axis=1)
                   for eig in eigs]
     fhat = np.fft.fft(coeffs, axis=1)  # row j: the FFT symbol of row j's circulant
     per_block = max(1, _CHUNK_COLUMNS // starts[0].shape[1])
@@ -254,6 +256,14 @@ def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
                                 incumbent=incumbent))
     lower = np.concatenate([values for values, _ in found])
     return lower, _upper(p, n1, n2, lower), np.concatenate([W for _, W in found], axis=1).T
+
+
+@functools.lru_cache(maxsize=128)
+def _circulant_starts(n: int, restarts: int, seed: int) -> np.ndarray:
+    """fpzn_norms' block for n <= 32: default_starts less e_1, ..., e_{n-1}; cached, read-only."""
+    block = np.delete(default_starts(n, restarts, seed), np.s_[1:n], axis=1)
+    block.flags.writeable = False
+    return block
 
 
 def _coordinates(xi) -> np.ndarray:
@@ -286,7 +296,7 @@ def fpzn_norms_ragged(xis, p, *, seed: int = 0) -> list[tuple[np.ndarray, np.nda
     of (lower, upper, witness) triples, every ascent through one pnorm.stacked_lower call.
 
     There each array is one stack of its rows' dense circulants: those of small
-    order are solved together (from fpzn_norms' start block for n <= 32), so
+    order are solved together, each from pnorm.default_starts(n, 32, seed), so
     the ascent's iteration count is the largest over the orders, not their
     sum; an array of larger order gets one FFT fpzn_norms call for all its
     rows.  Upper bounds come from the same Gelfand data as in fpzn_norms.

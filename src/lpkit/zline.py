@@ -145,7 +145,7 @@ def sup_exact(f: LaurentPolynomial) -> tuple[float, complex]:
     return float(vals[j]), complex(candidates[j])
 
 
-def cyclic_lower(f: LaurentPolynomial, n: int, p) -> float:
+def cyclic_lower(f: LaurentPolynomial, n: int, p, *, seed: int = 0) -> float:
     """Lower bound on the F^p(Z) norm from the order-n cyclic quotient.
 
     Sampling at the n-th roots of unity evaluates f on an invertible isometry
@@ -155,7 +155,7 @@ def cyclic_lower(f: LaurentPolynomial, n: int, p) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return fpzn_norm(f.samples(n), p, tol=TIGHT_TOL, restarts=64).lower
+    return fpzn_norm(f.samples(n), p, tol=TIGHT_TOL, restarts=64, seed=seed).lower
 
 
 # largest n_max fpz_norm takes: a schedule step's three tuples need about

@@ -5,11 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lpkit.zline as zline
 from lpkit.cli import EXIT_EMPTY_MEET, EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, dumps, main
-from lpkit.zline import LaurentPolynomial, fpz_norm, fpz_upper
+from lpkit.zline import LaurentPolynomial, cyclic_lower, fpz_norm, fpz_upper
+
+from conftest import random_laurent
 
 
 @pytest.fixture
@@ -241,6 +244,23 @@ class TestSweep:
         assert rc == EXIT_OK
         uppers = {float(row.split(",")[3]) for row in out.strip().splitlines()[1:]}
         assert uppers == {fpz_upper(poly, 1.5)}
+
+    def test_n_grid_takes_the_seed(self, capsys, tmp_path):
+        # the benchmark's span-3 polynomial (corpus seed 1001), where the start
+        # blocks of seeds 0 and 1 reach different lower bounds at n = 8
+        f = random_laurent(np.random.default_rng(1001), span=3, n_terms=4)
+        path = tmp_path / "poly3.json"
+        path.write_text(json.dumps(f.to_json()))
+        at_8 = {}
+        for seed in (0, 1, 7):
+            rc, out, _ = run(capsys, "sweep", "--kind", "z", "--in", str(path),
+                             "--n-grid", "4,8", "--p", "1.5", "--seed", str(seed))
+            assert rc == EXIT_OK
+            for row in out.splitlines()[1:]:
+                n, lower = int(row.split(",")[1]), float(row.split(",")[2])
+                assert lower == cyclic_lower(f, n, 1.5, seed=seed)
+                at_8[seed] = lower
+        assert at_8[0] != at_8[1]
 
     @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
     def test_n_grid_bad_tol(self, files, capsys, tol):

@@ -15,7 +15,7 @@ from lpkit.cyclic import (
     restrict,
     rotate,
 )
-from lpkit.pnorm import default_starts, opnorm, opnorm_oracle, pnorm
+from lpkit.pnorm import TIGHT_TOL, boyd_lower, default_starts, opnorm, opnorm_oracle, pnorm
 
 from conftest import brackets, random_laurent, random_unimodular
 
@@ -170,7 +170,8 @@ class TestFpznNorms:
                               singles[:size])
         # a cap of three elements' columns splits the seven into blocks of 3, 3
         # and 1; order-1 tuples are exact and run no block
-        width = 32 if n > 32 else default_starts(n, 32, 0).shape[1]
+        # above order 32 a block holds e_0, 8 eigenvectors and 16 random columns
+        width = 25 if n > 32 else cyclic._circulant_starts(n, 32, 0).shape[1]
         monkeypatch.setattr(cyclic, "_CHUNK_COLUMNS", 3 * width)
         blocks = self._count_blocks(monkeypatch)
         self._assert_same(brackets(fpzn_norms(self._rows(xs), p, seed=2)), singles)
@@ -196,7 +197,8 @@ class TestFpznNorms:
     def test_one_above_the_chunk_cap(self, rng, monkeypatch):
         import lpkit.cyclic as cyclic
 
-        xs = self._elements(rng, 5, cyclic._CHUNK_COLUMNS // default_starts(5, 32, 0).shape[1] + 1)
+        width = cyclic._circulant_starts(5, 32, 0).shape[1]
+        xs = self._elements(rng, 5, cyclic._CHUNK_COLUMNS // width + 1)
         singles = [fpzn_norm(x, 3.0, seed=2) for x in xs]
         blocks = self._count_blocks(monkeypatch)
         self._assert_same(brackets(fpzn_norms(self._rows(xs), 3.0, seed=2)), singles)
@@ -269,9 +271,38 @@ class TestFpznNorms:
         lower, upper, witness = fpzn_norms(np.empty((0, n)), p)
         assert lower.shape == upper.shape == (0,) and witness.shape == (0, n)
 
+    def test_start_block_keeps_e0_alone(self):
+        import lpkit.cyclic as cyclic
+
+        block = cyclic._circulant_starts(6, 32, 3)
+        assert cyclic._circulant_starts(6, 32, 3) is block and not block.flags.writeable
+        # e_0, then default_starts' DFT and random columns, from the same draws
+        full = default_starts(6, 32, 3)
+        assert np.array_equal(block, np.concatenate([full[:, :1], full[:, 6:]], axis=1))
+
+    @pytest.mark.parametrize("n", [5, 16, 40])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_rotated_basis_start_repeats_e0(self, rng, n, p):
+        # a circulant commutes with the cyclic shift, and so does Boyd's ascent,
+        # whose duality map acts coordinate by coordinate: the ascent from e_j is
+        # e_0's rotated by j, which is why fpzn_norms keeps e_0 alone.  At p = 1.2
+        # the ascent crawls, so roundoff shifts where it stops by up to TIGHT_TOL
+        import lpkit.cyclic as cyclic
+
+        # group j: the circulant's ascent from e_j alone
+        fhat = np.fft.fft(random_laurent(rng).samples(n).coefficients())
+        matmat, rmatmat, select = cyclic._circulant_matmats(np.tile(fhat[:, None], n))
+        values, W = boyd_lower(matmat, rmatmat, np.eye(n, dtype=complex), p, TIGHT_TOL,
+                               groups=n, select=select)
+        assert values == pytest.approx(values[0], rel=TIGHT_TOL if p == 1.2 else 1e-13)
+        for j in range(n):
+            rolled = np.roll(W[:, 0], j)
+            phase = np.vdot(rolled, W[:, j])
+            assert np.abs(W[:, j] - phase / abs(phase) * rolled).max() < 1e-6
+
     def test_large_order_start_block_memory(self, rng, monkeypatch):
-        # fpz_norm's default n_max reaches n = 4096; the start block keeps 8 basis
-        # vectors, never an n x n identity (268 MB at this n)
+        # fpz_norm's default n_max reaches n = 4096; the start block keeps one basis
+        # vector, never an n x n identity (268 MB at this n)
         import tracemalloc
 
         import lpkit.cyclic as cyclic

@@ -255,6 +255,50 @@ class TestIncumbent:
             assert np.array_equal(a.witness, b.witness)
 
 
+class TestOneBasisStart:
+    """fpzn_norms starts each circulant ascent from e_0 alone of the basis vectors:
+    the ascent from e_j is e_0's rotated by j, so the others only repeat its work."""
+
+    @staticmethod
+    def _solve(monkeypatch, f, p, full_basis):
+        """fpz_norm(f, p, n_max=96) and its ascents' matmat calls and columns; with
+        `full_basis` every start block also holds the rotated basis vectors
+        e_1, ..., e_{m-1} after e_0 (m = n for n <= 32, else 8)."""
+        counts = [0, 0]
+        real = cyclic.boyd_lower
+
+        def counting(matmat, rmatmat, starts, p, **kwargs):
+            n, groups = len(starts), kwargs["groups"]
+            if full_basis:
+                m = n if n <= 32 else 8
+                own = starts.reshape(n, groups, -1)  # group-major column blocks
+                rotated = np.broadcast_to(np.eye(n, m)[:, None, 1:], (n, groups, m - 1))
+                starts = np.concatenate([own[:, :, :1], rotated, own[:, :, 1:]], axis=2)
+                starts = starts.reshape(n, -1)
+
+            def counted(X):
+                counts[0] += 1
+                counts[1] += X.shape[1]
+                return matmat(X)
+
+            return real(counted, rmatmat, starts, p, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cyclic, "boyd_lower", counting)
+            est = fpz_norm(f, p, n_max=96)
+        return est.lower, counts
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_same_iterations_fewer_columns(self, monkeypatch, p):
+        # the benchmark's span-3 polynomial (corpus seed 1001)
+        f = random_laurent(np.random.default_rng(1001), span=3, n_terms=4)
+        lower, (calls, cols) = self._solve(monkeypatch, f, p, full_basis=False)
+        want, (want_calls, want_cols) = self._solve(monkeypatch, f, p, full_basis=True)
+        assert calls == want_calls
+        assert cols <= 0.65 * want_cols
+        assert lower == pytest.approx(want, rel=1e-13)
+
+
 @pytest.mark.xfail(strict=True, reason="interpolation_upper is not rounded outward, so the "
                    "upper bound can sit an ulp below a reproduced lower bound; ROADMAP item 3 "
                    "holds the outward slack")
