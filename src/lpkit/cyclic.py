@@ -21,7 +21,6 @@ import numpy as np
 from .pnorm import (
     _CHUNK_COLUMNS,
     _CONVERGENCE_TOL,
-    TIGHT_TOL,
     NormEstimate,
     as_exponent,
     boyd_lower,
@@ -176,73 +175,104 @@ def _eigenvectors(n: int, js: np.ndarray) -> np.ndarray:
 
 def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL,
               seed: int = 0) -> NormEstimate:
-    """Norm of a cyclic-algebra element as an operator on ell^p_n.
+    """Norm of a cyclic-algebra element as an operator on ell^p_n (see fpzn_norms).
 
     Exact at p = 1 (column sum), at p = 2 (sup of |xi|) and at order n = 1
-    (|xi_0|, with the method string of the ascent path).  Otherwise the
-    bracket comes from Boyd ascent (always seeded with the circulant's
-    eigenvectors, so the lower bound dominates max |xi|) and Riesz-Thorin
-    interpolation of the exact endpoint norms.  `restarts` sets the random
-    start columns only for n <= 32 (see fpzn_norms).
+    (|xi_0|, with the method string of the ascent path); otherwise a Boyd
+    lower bound, which dominates max |xi|, and a Riesz-Thorin upper bound.
     """
-    lower, upper, witness = fpzn_norms(x.xi[None], p, restarts=restarts, tol=tol, seed=seed)
+    [(lower, upper, witness)] = fpzn_norms([x.xi[None]], p, restarts=restarts, tol=tol,
+                                           seed=seed)
     return NormEstimate(float(lower[0]), float(upper[0]), witness[0], method_of(as_exponent(p)))
 
 
-def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed: int = 0,
-               incumbent: float = 0.0, start=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """fpzn_norm of each row of a (k, n) array of Gelfand coordinates, solved together,
-    as arrays (lower, upper, witness) of shapes (k,), (k,) and (k, n), also for k = 0.
+def fpzn_norms(xis, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed: int = 0,
+               incumbent: float = 0.0, start=None) -> list[tuple]:
+    """fpzn_norm of each row of each (k, n) coordinate array in a list of any orders,
+    solved together: one triple of arrays (lower, upper, witness), of shapes (k,),
+    (k,) and (k, n), per array; each triple is the array's solve alone, bit for bit.
 
-    The array is validated once: ValueError unless it is 2-D and finite.
-    Row j gets the bracket it gets alone, bit for bit: coefficients,
-    FFT symbols, l1 and sup norms take one row-batched numpy call each, and
-    the Boyd ascents run as groups of one block, at most _CHUNK_COLUMNS columns.
-    `incumbent` is a lower bound the caller already holds (see boyd_lower):
-    an ascent that is not on pace to pass it stops early, so with an
-    incumbent above 0 a row's own lower bound may fall below what it
-    gets alone.  Only the maximum over the call and the incumbent is meant.
-
-    `start` is a vector carried over, such as a nearby tuple's witness: each
-    ascent then starts from it and the standard block's eigenvector columns
-    only (all DFT columns for n <= 32, the top 8 for larger n), so the lower
-    bound still dominates max |xi| (Higham, Numer. Math. 62 (1992)).
-
-    Without `start` the block keeps one basis vector, e_0: a circulant commutes
-    with the cyclic shift, so the ascent from e_j is e_0's rotated by j.  Then
-    come, for n <= 32, the n DFT columns and the random columns of
-    pnorm.default_starts(n, restarts, seed); for larger n, the eigenvectors of
-    the 8 largest |xi| and 16 random columns, whatever `restarts` is.
+    ValueError, before any ascent, unless every array is 2-D and finite and,
+    with `start`, of the start's order.  p in {1, 2}, order 1 and empty
+    arrays are exact.  The rest ascend at `tol` in pnorm.stacked_lower: orders
+    up to PAD_ORDER as dense circulant stacks in one grouped ascent, each
+    larger order in FFT blocks (_fft_lower), both from one start block per
+    order.  It keeps e_0 alone of the basis (a circulant commutes with the
+    cyclic shift, so the ascent from e_j is e_0's rotated by j), then for
+    n <= 32 the DFT and random columns of pnorm.default_starts(n, restarts,
+    seed), for larger n the eigenvectors of the 8 largest |xi| and 16 random
+    columns.  A carried `start`, such as a nearby tuple's witness, replaces
+    e_0 and the random columns, so the lower bound still dominates max |xi|
+    (Higham, Numer. Math. 62 (1992)).  Upper bounds interpolate the exact
+    endpoint norms.  With an `incumbent` lower bound (see boyd_lower), only
+    the maximum over the call and the incumbent is meant.
     """
     p = as_exponent(p)
-    xi = _coordinates(xi)
+    xis = [np.asarray(xi, dtype=complex) for xi in xis]
+    for xi in xis:
+        if xi.ndim != 2:
+            raise ValueError(f"expected (k, n) coordinate arrays, got shape {xi.shape}")
+        if not np.isfinite(xi).all():
+            raise ValueError("coordinates must be finite")
+    carried = None if start is None else np.asarray(start, dtype=complex).reshape(-1, 1)
+    if carried is not None and any(xi.shape[1] != len(carried) for xi in xis):
+        raise ValueError(f"a start of order {len(carried)} for an array of another order")
+    mods = [np.abs(xi) for xi in xis]
+    out = [_exact(xi, mod, p) for xi, mod in zip(xis, mods)]
+    todo = [i for i, solved in enumerate(out) if solved is None]
+    data = [_endpoint_norms(xis[i], mods[i]) for i in todo]  # coefficients, l1 and sup norms
+    orders = [xis[i].shape[1] for i in todo]
+    found = stacked_lower(
+        [xis[i].shape for i in todo], lambda j: data[j][0][:, _circulant_index(orders[j])],
+        lambda j: _start_block(orders[j], restarts, seed, carried), p,
+        lambda j: _fft_lower(data[j][0], mods[todo[j]], p, restarts, seed, carried, tol,
+                             incumbent),
+        tol=tol, incumbent=incumbent)
+    for i, (_, n1, n2), (lower, witness) in zip(todo, data, found):
+        # Riesz-Thorin (p = inf equals p = 1 for a circulant) in Python-float powers,
+        # one tuple at a time: a numpy array power can differ in the last bit
+        upper = [interpolation_upper(p, a, b, a) for a, b in zip(n1.tolist(), n2.tolist())]
+        out[i] = lower, np.maximum(upper, lower), witness
+    return out
+
+
+def _exact(xi: np.ndarray, mod: np.ndarray, p: float):
+    """fpzn_norms' triple for a (k, n) array that needs no ascent (no rows, p in
+    {1, 2} or order 1), given with its moduli; None for any other array."""
     k, n = xi.shape
     if not k:
         return np.zeros(0), np.zeros(0), np.zeros((0, n), dtype=complex)
-    mod = np.abs(xi)
     if p == 2.0:
         n2 = mod.max(axis=1)
         return n2, n2, _eigenvectors(n, mod.argmax(axis=1))
-    coeffs, n1, n2 = _endpoint_norms(xi, mod)
     if p == 1.0:  # every column sums to n1, so the first basis vector attains it
+        n1 = _endpoint_norms(xi, mod)[1]
         return n1, n1, np.eye(1, n, dtype=complex).repeat(k, axis=0)
-
     if n == 1:
         # a 1x1 circulant multiplies by xi_0, so its norm is |xi_0| at every p;
         # numpy's modulus, as at p = 2 (Python's abs() can differ in the last bit)
         return mod[:, 0], mod[:, 0], np.ones((k, 1), dtype=complex)
+    return None
 
-    carried = [] if start is None else [np.reshape(start, (n, 1))]
+
+def _start_block(n: int, restarts: int, seed: int, carried) -> np.ndarray:
+    """The start block of every order-n circulant for n <= 32 (see fpzn_norms)."""
+    block = _circulant_starts(n, restarts, seed)
+    return block if carried is None else np.concatenate([block[:, 1:n + 1], carried], axis=1)
+
+
+def _fft_lower(coeffs: np.ndarray, mod: np.ndarray, p: float, restarts: int, seed: int,
+               carried, tol: float, incumbent: float) -> tuple[np.ndarray, np.ndarray]:
+    """fpzn_norms' lower bounds and witnesses, shapes (k,) and (k, n), of the circulants of
+    (k, n) coefficient rows and moduli, by FFT products in blocks of _CHUNK_COLUMNS."""
+    k, n = coeffs.shape
     if n <= 32:
-        shared = _circulant_starts(n, restarts, seed)
-        if carried:  # the DFT (eigenvector) columns and the carried vector
-            shared = np.concatenate([shared[:, 1:n + 1]] + carried, axis=1)
-        starts = [shared] * k
+        starts = [_start_block(n, restarts, seed, carried)] * k
     else:
         rng = np.random.default_rng(seed)
         rand = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
         eigs = np.swapaxes(_eigenvectors(n, np.argsort(mod, axis=1)[:, -8:]), 1, 2)
-        starts = [np.concatenate([eig] + carried if carried else
+        starts = [np.concatenate([eig, carried] if carried is not None else
                                  [np.eye(n, 1, dtype=complex), eig, rand], axis=1)
                   for eig in eigs]
     fhat = np.fft.fft(coeffs, axis=1)  # row j: the FFT symbol of row j's circulant
@@ -254,8 +284,8 @@ def fpzn_norms(xi, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed
         found.append(boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), p,
                                 tol=tol, groups=len(starts[block]), select=select,
                                 incumbent=incumbent))
-    lower = np.concatenate([values for values, _ in found])
-    return lower, _upper(p, n1, n2, lower), np.concatenate([W for _, W in found], axis=1).T
+    return (np.concatenate([values for values, _ in found]),
+            np.concatenate([W for _, W in found], axis=1).T)
 
 
 @functools.lru_cache(maxsize=128)
@@ -266,57 +296,11 @@ def _circulant_starts(n: int, restarts: int, seed: int) -> np.ndarray:
     return block
 
 
-def _coordinates(xi) -> np.ndarray:
-    """A (k, n) coordinate array as complex; ValueError unless it is 2-D and finite."""
-    xi = np.asarray(xi, dtype=complex)
-    if xi.ndim != 2:
-        raise ValueError(f"expected a (k, n) coordinate array, got shape {xi.shape}")
-    if not np.isfinite(xi).all():
-        raise ValueError("coordinates must be finite")
-    return xi
-
-
 def _endpoint_norms(xi: np.ndarray, mod: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coefficient rows of a (k, n) coordinate array, given with its moduli, and
     each row's circulant norms at p = 1 (l1 of the coefficients) and p = 2 (max |xi|)."""
     coeffs = np.fft.fft(xi, axis=1) / xi.shape[1]  # row j: the coefficients of row j, bit for bit
     return coeffs, np.abs(coeffs).sum(axis=1), mod.max(axis=1)
-
-
-def _upper(p: float, n1: np.ndarray, n2: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Riesz-Thorin upper bounds from the endpoint norms (p = inf equals p = 1 for a
-    circulant), never below the lower bounds."""
-    # Python-float powers, one tuple at a time: a numpy array power can differ in the last bit
-    upper = [interpolation_upper(p, a, b, a) for a, b in zip(n1.tolist(), n2.tolist())]
-    return np.maximum(upper, lower)
-
-
-def fpzn_norms_ragged(xis, p, *, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """fpzn_norms at TIGHT_TOL of each (k, n) array in a list of any orders, as a list
-    of (lower, upper, witness) triples, every ascent through one pnorm.stacked_lower call.
-
-    There each array is one stack of its rows' dense circulants: those of small
-    order are solved together, each from pnorm.default_starts(n, 32, seed), so
-    the ascent's iteration count is the largest over the orders, not their
-    sum; an array of larger order gets one FFT fpzn_norms call for all its
-    rows.  Upper bounds come from the same Gelfand data as in fpzn_norms.
-    p in {1, 2}, order 1 and empty arrays take fpzn_norms' exact paths.
-    """
-    p = as_exponent(p)
-    xis = [_coordinates(xi) for xi in xis]
-    out = [fpzn_norms(xi, p) if p in (1.0, 2.0) or xi.shape[1] == 1 or not len(xi) else None
-           for xi in xis]
-    ascents = [i for i, solved in enumerate(out) if solved is None]
-    arrays = [xis[i] for i in ascents]
-    # coefficient rows and endpoint norms of each array; alone(j) is fpzn_norms' (lower, witness)
-    data = [_endpoint_norms(xi, np.abs(xi)) for xi in arrays]
-    found = stacked_lower([xi.shape for xi in arrays],
-                          lambda j: data[j][0][:, _circulant_index(arrays[j].shape[1])], p,
-                          lambda j: fpzn_norms(arrays[j], p, tol=TIGHT_TOL, seed=seed)[::2],
-                          seed=seed)
-    for i, (_, n1, n2), (lower, witness) in zip(ascents, data, found):
-        out[i] = lower, _upper(p, n1, n2, lower), witness
-    return out
 
 
 def embed_divisor(b: CyclicElement, m: int) -> CyclicElement:
@@ -392,15 +376,16 @@ def classify_isometry(x: CyclicElement, p, *, seed: int = 0) -> IsometryClassifi
     model = zeta * np.exp(2j * np.pi * k * np.arange(n) / n)
     if abs(abs(zeta) - 1.0) <= _ISOMETRY_TOL and np.max(np.abs(x.xi - model)) <= _ISOMETRY_TOL:
         return IsometryClassification("isometry", zeta=zeta / abs(zeta), k=k)
-    lower = fpzn_norms([x.xi, x.inverse().xi], p, seed=seed)[0]
+    [(lower, _, _)] = fpzn_norms([[x.xi, x.inverse().xi]], p, seed=seed)
     return IsometryClassification("not-isometry", excess=float(lower.max()) - 1.0)
 
 
 def gap_margin(alpha: CyclicElement, d: int, p, *, seed: int = 0) -> float:
     """Certified margin ||alpha||_lower - max_b ||restrict(alpha, d, b)||_upper."""
     # row b of the transposed reshape is restrict(alpha, d, b)
-    restricted = fpzn_norms(alpha.xi.reshape(d, -1).T, p, seed=seed)[1]
-    return fpzn_norm(alpha, p, seed=seed).lower - float(restricted.max())
+    [(lower, _, _), (_, restricted, _)] = fpzn_norms([alpha.xi[None], alpha.xi.reshape(d, -1).T],
+                                                     p, seed=seed)
+    return float(lower[0]) - float(restricted.max())
 
 
 def _structured_candidate(n: int, d: int, zetas: np.ndarray, ks: np.ndarray) -> CyclicElement:

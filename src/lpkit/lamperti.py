@@ -341,10 +341,9 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
     blocks f(B_c), and its ell^p norm is their largest (Lamperti, Pacific
     J. Math. 8 (1958)).  Each f(B_c) is built from v's entries (_cycle_blocks),
     bracketed exactly at p in {1, 2} (opnorm) and otherwise by
-    pnorm.grouped_opnorm, one ascent for all blocks of order up to
-    pnorm.PAD_ORDER and opnorm's own for each larger block: the largest
-    block lower bound, with its witness placed at that cycle's atoms, and
-    the largest block Riesz-Thorin bound, each at most the whole matrix's.
+    pnorm.grouped_opnorm: the largest block lower bound, with its witness
+    placed at that cycle's atoms, and the largest block Riesz-Thorin bound,
+    each at most the whole matrix's.
     via-sigma: configuration norm of f over sigma(v), exact for atomic v
     since all finite slots are point sets.  both: the pair, whose brackets
     must overlap.

@@ -41,9 +41,13 @@ _TINY = np.finfo(float).tiny
 _SECTIONS = 8
 # widest block one grouped ascent iterates; bounds its memory, not its result
 _CHUNK_COLUMNS = 4096
-# largest order stacked_lower zero-pads a matrix to; a larger one gets its own ascent.
-# Cycle blocks of order 20 and 24 took 16-28% longer padded at TIGHT_TOL than in
-# opnorm's own ascent; up to 16 the padded ascent was no slower
+# the batched matmul's column groups: a column in a partial group gets other last bits
+_GEMM_COLUMNS = 4
+# largest order stacked_lower zero-pads a matrix to; a larger one gets its own ascent
+# (FFT blocks for a circulant).  Cycle blocks of order 20 and 24 took 16-28% longer
+# padded at TIGHT_TOL than in opnorm's own ascent.  Unpadded circulant ascents on
+# dense products took 0.67-1.09 (median 0.83) of the FFT's time per iteration at
+# n = 8, 12, 16, 24 and 32 with the same iterations, 1-8 tuples, p = 1.5 and 3
 PAD_ORDER = 16
 
 _log = logging.getLogger(__name__)
@@ -119,10 +123,6 @@ def _norm1(A: np.ndarray) -> tuple[float, int]:
     sums = np.sum(np.abs(A), axis=0)
     j = int(np.argmax(sums))
     return float(sums[j]), j
-
-
-def _norm_inf(A: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(A), axis=1)))
 
 
 def _norm2(A: np.ndarray) -> tuple[float, np.ndarray]:
@@ -237,10 +237,12 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     (one group needs no `select`).  Returns arrays (values, W): column g of W,
     shape (n, groups), is group g's best column at unit p-norm, and values[g]
     its value, re-evaluated at the end in the one block W, after `select(range(groups))`.
+    Every column sum runs row after row (see _column_pnorms), so zero rows
+    appended to the operators and the starts change no bit of a group.
     """
     q = p / (p - 1.0)
     X = starts.astype(complex, copy=True)
-    norms = pnorm(X, p, axis=0)
+    norms = _column_pnorms(X, p)
     X /= np.where(norms > 0.0, norms, 1.0)
     k = X.shape[1] // groups
     best_val = np.zeros(X.shape[1])
@@ -256,8 +258,7 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     def freeze(slots, reason: str) -> None:
         for i in live[slots]:
             j = i * k + int(np.argmax(best_val[i * k:(i + 1) * k]))
-            w = best_X[:, j]
-            witnesses[i] = w / pnorm(w, p)
+            witnesses[i] = best_X[:, j]
             _log.debug("boyd_lower stopped (%s) after %d iterations, n=%d, %d columns",
                        reason, it, X.shape[0], k)
 
@@ -316,7 +317,15 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
         freeze(slice(None), "max_iter")
     select(np.arange(groups))
     W = np.stack(witnesses, axis=1)
-    return pnorm(np.ascontiguousarray(matmat(W).T), p, axis=1), W
+    W /= _column_pnorms(W, p)
+    return _column_pnorms(matmat(W), p), W
+
+
+def _column_pnorms(Y: np.ndarray, p: float) -> np.ndarray:
+    """pnorm of each column of a 2-D block, summed row after row, so zero rows added
+    change no bit: numpy sums a C-ordered block so, but one column pairwise."""
+    wide = Y if Y.shape[1] > 1 else np.repeat(Y, 2, axis=1)
+    return pnorm(np.ascontiguousarray(wide), p, axis=0)[:Y.shape[1]]
 
 
 def _stacked_matmats(stack: np.ndarray):
@@ -325,7 +334,8 @@ def _stacked_matmats(stack: np.ndarray):
 
     A product places the columns of each matrix side by side in one
     zero-padded (matrix, row, column) array, so it is one batched matmul
-    and holds no copy of a matrix per column.
+    and holds no copy of a matrix per column.  Each matrix gets a multiple of
+    _GEMM_COLUMNS columns, so no column's bits depend on the others.
     """
     rows = np.arange(stack.shape[1])[:, None]
     mats = adjoints = index = width = None
@@ -334,7 +344,8 @@ def _stacked_matmats(stack: np.ndarray):
         nonlocal mats, adjoints, index, width
         live, first, at = np.unique(groups, return_index=True, return_inverse=True)
         pos = np.arange(len(groups)) - first[at]  # each column's place among its matrix's
-        mats, width = stack[live], int(pos.max(initial=0)) + 1
+        mats = stack[live]
+        width = -(-(int(pos.max(initial=0)) + 1) // _GEMM_COLUMNS) * _GEMM_COLUMNS
         adjoints = mats.conj().swapaxes(1, 2)
         # flat position of block entry (r, j) in the (matrix, row, column) array
         index = (at * len(rows) + rows) * width + pos
@@ -347,50 +358,54 @@ def _stacked_matmats(stack: np.ndarray):
     return (lambda X: product(X, mats)), (lambda X: product(X, adjoints)), select
 
 
-def stacked_lower(shapes, stack, p: float, alone, *, seed: int = 0) -> list:
+def stacked_lower(shapes, stack, starts, p: float, alone, *, tol: float,
+                  incumbent: float = 0.0) -> list:
     """Boyd lower bounds of a list of (k, n, n) stacks of square matrices, as one pair
     of arrays (values, witnesses) per stack, of shapes (k,) and (k, n): shapes[i] is
-    (k, n), stack(i) builds stack i, and alone(i) bounds stack i on its own.
+    (k, n), stack(i) builds stack i, starts(i) is its rows' (n, c) start block,
+    and alone(i) bounds stack i on its own.
 
     The rows of the stacks of order up to PAD_ORDER run as the groups of one
-    ascent at TIGHT_TOL, stack after stack, each from default_starts(n, 32, seed),
-    zero-padded to the largest of those orders and to the widest start block.
-    A padded coordinate stays zero and a zero start column settles at once,
-    so each row runs as it would alone, up to the roundoff of the dense
-    products; the number of iterations is the largest over the rows, not
-    their sum.  Blocks hold at most _CHUNK_COLUMNS columns; more rows run as
-    several.  Every larger stack goes to alone(i) and is never built here.
+    boyd_lower ascent at `tol` and `incumbent`, stack after stack, zero-padded
+    to the largest of those orders and to the widest start block, in blocks
+    of at most _CHUNK_COLUMNS columns.  A padded coordinate stays zero, a zero
+    start column settles at once, and neither the products nor the sums
+    depend on the padding or the batch-mates, so each row gets the bits it
+    gets alone; the number of iterations is the largest over the rows, not
+    their sum.  Every larger stack goes to alone(i) and is never built here.
     """
     out = [alone(i) if n > PAD_ORDER else None for i, (_, n) in enumerate(shapes)]
     small = [i for i, solved in enumerate(out) if solved is None]
     if not small:
         return out
+    blocks = [starts(i) for i in small]
     size = max(shapes[i][1] for i in small)
-    k = max(default_starts(shapes[i][1], 32, seed).shape[1] for i in small)
+    k = max(block.shape[1] for block in blocks)
     counts = [shapes[i][0] for i in small]
     ends = np.cumsum(counts)
     owner = np.repeat(np.arange(len(small)), counts)  # each row's stack
     mats = np.zeros((ends[-1], size, size), dtype=complex)
-    starts = np.zeros((len(small), size, k), dtype=complex)
-    for g, i in enumerate(small):
-        n, own = shapes[i][1], default_starts(shapes[i][1], 32, seed)
+    padded = np.zeros((len(small), size, k), dtype=complex)
+    for g, (i, block) in enumerate(zip(small, blocks)):
+        n = shapes[i][1]
         mats[ends[g] - counts[g]:ends[g], :n, :n] = stack(i)
-        starts[g, :n, :own.shape[1]] = own
+        padded[g, :n, :block.shape[1]] = block
     values, W = np.zeros(len(mats)), np.zeros((size, len(mats)), dtype=complex)
     per_block = max(1, _CHUNK_COLUMNS // k)
     for lo in range(0, len(mats), per_block):
         part = slice(lo, lo + per_block)
         matmat, rmatmat, select = _stacked_matmats(mats[part])
-        block = np.concatenate(starts[owner[part]], axis=1)
-        values[part], W[:, part] = boyd_lower(matmat, rmatmat, block, p, tol=TIGHT_TOL,
-                                              groups=len(mats[part]), select=select)
+        block = np.concatenate(padded[owner[part]], axis=1)
+        values[part], W[:, part] = boyd_lower(matmat, rmatmat, block, p, tol=tol,
+                                              groups=len(mats[part]), select=select,
+                                              incumbent=incumbent)
     for i, lower, found in zip(small, np.split(values, ends[:-1]), np.split(W, ends[:-1], axis=1)):
         out[i] = lower, found[:shapes[i][1]].T
     return out
 
 
 def _interpolation_upper_of(A: np.ndarray, p: float) -> float:
-    return interpolation_upper(p, _norm1(A)[0], _norm2(A)[0], _norm_inf(A))
+    return interpolation_upper(p, _norm1(A)[0], _norm2(A)[0], _norm1(A.T)[0])
 
 
 def _dense_lower(A: np.ndarray, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,14 +420,15 @@ def _dense_lower(A: np.ndarray, p: float, seed: int) -> tuple[np.ndarray, np.nda
 def grouped_opnorm(mats, p, *, seed: int = 0) -> list[NormEstimate]:
     """opnorm of each matrix in a list at p outside {1, 2}, where opnorm is exact.
 
-    The same Riesz-Thorin upper bounds as opnorm; the lower bounds of all
-    orders up to PAD_ORDER come from one ascent at TIGHT_TOL (stacked_lower, each
-    matrix a stack of one), and each larger matrix keeps opnorm's own ascent.
+    The same Riesz-Thorin upper bounds as opnorm; lower bounds from one stacked_lower
+    call at TIGHT_TOL, each matrix a stack of one from default_starts(n, 32, seed),
+    and opnorm's own ascent for each matrix above PAD_ORDER.
     """
     p = as_exponent(p)
     mats = [_as_square_matrix(A) for A in mats]
-    found = stacked_lower([(1, len(A)) for A in mats], lambda i: mats[i][None], p,
-                          lambda i: _dense_lower(mats[i], p, seed), seed=seed)
+    found = stacked_lower([(1, len(A)) for A in mats], lambda i: mats[i][None],
+                          lambda i: default_starts(len(mats[i]), 32, seed), p,
+                          lambda i: _dense_lower(mats[i], p, seed), tol=TIGHT_TOL)
     return [NormEstimate(float(lo), float(max(_interpolation_upper_of(A, p), lo)), w,
                          "boyd+interp") for A, ([lo], [w]) in zip(mats, found)]
 

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, fpzn_norms_ragged, gap_witness
+from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, gap_witness
 from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, method_of, section_max
 from .zline import LaurentPolynomial, _upper_from_sup, fpz_norm, sup_exact
 
@@ -525,10 +525,9 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
     `resolution` is refined by _SECTION_STEPS steps of pnorm.section_max on
     [g - resolution, g + resolution] around the best grid angle g; each step
     starts from the witness of the best arc tuple so far (fpzn_norms'
-    `start`), then the n rotations of the best arc angle are solved from the
-    standard block at TIGHT_TOL, which restores the start diversity of n
-    rotated copies.  The lower bound is the best value evaluated, a point's
-    on ties; the tuples of the grid and of each step are solved together.
+    `start`), then the best arc angle's n rotations are confirmed from the
+    full start block at TIGHT_TOL.  The lower bound is the best value evaluated,
+    a point's on ties; the tuples of the grid and of each step are solved together.
     """
     lower, upper, witnesses = points
     best, witness = -math.inf, None
@@ -540,7 +539,7 @@ def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float
         from one `evaluate` call; the slot keeps the best lower bound."""
         nonlocal best, witness
         values = evaluate(np.array(rotation_orbits(angles, n), dtype=float))
-        lower, _, witnesses = fpzn_norms(values.reshape(-1, n), p, seed=seed, **kwargs)
+        [(lower, _, witnesses)] = fpzn_norms([values.reshape(-1, n)], p, seed=seed, **kwargs)
         if lower.max() > best:
             best, witness = float(lower.max()), witnesses[lower.argmax()]
         return lower, witnesses
@@ -569,13 +568,13 @@ def _slots_lower(evaluate: Callable, slots: Mapping[int, ArcSet], p, resolution:
 
     A slot's points are solved one tuple per rotation orbit (the first 1/n
     of the sorted points), since rotated tuples have the same norm, and
-    the point tuples of every slot go to one cyclic.fpzn_norms_ragged call,
-    at TIGHT_TOL: one grouped ascent over all orders from 2 to PAD_ORDER.
+    the point tuples of every slot go to one cyclic.fpzn_norms call at
+    TIGHT_TOL.
     """
     reps = [rotation_orbits(arcset.orbit_representatives(n).points, n)
             for n, arcset in slots.items()]
-    points = fpzn_norms_ragged([evaluate(np.array(angles, dtype=float)).reshape(-1, n)
-                                for angles, n in zip(reps, slots)], p, seed=seed)
+    points = fpzn_norms([evaluate(np.array(angles, dtype=float)).reshape(-1, n)
+                         for angles, n in zip(reps, slots)], p, tol=TIGHT_TOL, seed=seed)
     return [_slot_lower(evaluate, arcset, n, p, resolution, seed, solved)
             for (n, arcset), solved in zip(slots.items(), points)]
 
@@ -591,7 +590,7 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
     """Configuration norm of f: sup over slots of cyclic tuple norms.
 
     Point slots are exact finite maxima over one tuple per rotation orbit,
-    every slot's in one grouped ascent (see _slots_lower).  Arc slots
+    every slot's in one fpzn_norms call (see _slots_lower).  Arc slots
     contribute lower bounds from a grid at `resolution` over one rotation
     orbit, refined by a batched k-section search from carried starts and
     confirmed over the best angle's n rotations (see _slot_lower), and a
@@ -679,8 +678,8 @@ def _probe_witness(n: int, relevant_divisors: list[int], p, margin: float,
     for d in sorted(relevant_divisors, reverse=True) or [max(
             d for d in range(1, n) if n % d == 0)]:
         alpha, _ = gap_witness(n, d, p, seed=seed, target_margin=2.0 * margin)
-        scale = max(fpzn_norms(alpha.xi.reshape(dd, -1).T, p, seed=seed)[1].max()
-                    for dd in (relevant_divisors or [d]))
+        scale = max(upper.max() for _, upper, _ in fpzn_norms(
+            [alpha.xi.reshape(dd, -1).T for dd in relevant_divisors or [d]], p, seed=seed))
         scaled = alpha.xi / scale
         gap = fpzn_norm(CyclicElement(n, scaled), p, seed=seed).lower - 1.0
         if best is None or gap > best[0]:

@@ -230,8 +230,8 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     witness = np.array([1.0 + 0.0j])
     for n in _schedule(n_max):
         bases = (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak)
-        lows, _, witnesses = fpzn_norms([f.samples(n, t).xi for t in bases], p, seed=seed,
-                                        incumbent=lower)
+        [(lows, _, witnesses)] = fpzn_norms([[f.samples(n, t).xi for t in bases]], p,
+                                            seed=seed, incumbent=lower)
         if lows.max() > lower:
             lower, witness = float(lows.max()), witnesses[lows.argmax()]
         if upper - lower < tol:

@@ -47,6 +47,25 @@ def brackets(solved):
             for a, b, w in zip(lower, upper, witness)]
 
 
+def patch_ascents(patch, wrap):
+    """Replace boyd_lower by wrap(boyd_lower) at both places that call it: the FFT
+    blocks (lpkit.cyclic) and the dense stacks (lpkit.pnorm)."""
+    import lpkit.cyclic as cyclic
+    import lpkit.pnorm as pnorm
+
+    for module in (cyclic, pnorm):
+        patch.setattr(module, "boyd_lower", wrap(module.boyd_lower))
+
+
+def patch_chunk_columns(patch, columns):
+    """Cap the blocks of both product paths at `columns` columns."""
+    import lpkit.cyclic as cyclic
+    import lpkit.pnorm as pnorm
+
+    for module in (cyclic, pnorm):
+        patch.setattr(module, "_CHUNK_COLUMNS", columns)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)

@@ -17,7 +17,8 @@ from lpkit.cyclic import (
 )
 from lpkit.pnorm import TIGHT_TOL, boyd_lower, default_starts, opnorm, opnorm_oracle, pnorm
 
-from conftest import brackets, random_laurent, random_unimodular
+from conftest import (brackets, patch_ascents, patch_chunk_columns, random_laurent,
+                      random_unimodular)
 
 
 def dense_norm_via_dft(xi, p, seed=0):
@@ -138,6 +139,12 @@ class TestFpznNorms:
         return np.array([x.xi for x in xs])
 
     @staticmethod
+    def _solve(xi, p, **kwargs):
+        """fpzn_norms of one (k, n) array, one record per row."""
+        [solved] = fpzn_norms([xi], p, **kwargs)
+        return brackets(solved)
+
+    @staticmethod
     def _assert_same(got, want):
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -146,16 +153,15 @@ class TestFpznNorms:
 
     @staticmethod
     def _count_blocks(monkeypatch):
-        import lpkit.cyclic as cyclic
-
         blocks = [0]
-        real = cyclic.boyd_lower
 
-        def counting(*args, **kwargs):
-            blocks[0] += 1
-            return real(*args, **kwargs)
+        def wrap(real):
+            def counting(*args, **kwargs):
+                blocks[0] += 1
+                return real(*args, **kwargs)
+            return counting
 
-        monkeypatch.setattr(cyclic, "boyd_lower", counting)
+        patch_ascents(monkeypatch, wrap)
         return blocks
 
     @pytest.mark.parametrize("n", [1, 5, 8, 16, 40, 96])
@@ -166,28 +172,25 @@ class TestFpznNorms:
         xs = self._elements(rng, n, 7)
         singles = [fpzn_norm(x, p, seed=2) for x in xs]
         for size in (1, 2, 7):
-            self._assert_same(brackets(fpzn_norms(self._rows(xs[:size]), p, seed=2)),
-                              singles[:size])
+            self._assert_same(self._solve(self._rows(xs[:size]), p, seed=2), singles[:size])
         # a cap of three elements' columns splits the seven into blocks of 3, 3
-        # and 1; order-1 tuples are exact and run no block
+        # and 1, dense (n <= 16) or FFT; order-1 tuples are exact and run no block
         # above order 32 a block holds e_0, 8 eigenvectors and 16 random columns
         width = 25 if n > 32 else cyclic._circulant_starts(n, 32, 0).shape[1]
-        monkeypatch.setattr(cyclic, "_CHUNK_COLUMNS", 3 * width)
+        patch_chunk_columns(monkeypatch, 3 * width)
         blocks = self._count_blocks(monkeypatch)
-        self._assert_same(brackets(fpzn_norms(self._rows(xs), p, seed=2)), singles)
+        self._assert_same(self._solve(self._rows(xs), p, seed=2), singles)
         assert blocks[0] == (0 if n == 1 else 3)
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 50.0])
     def test_order_one_is_exact(self, rng, monkeypatch, p):
-        import lpkit.cyclic as cyclic
-
         def refuse(*args, **kwargs):
             raise AssertionError("an order-1 tuple needs no ascent")
 
-        monkeypatch.setattr(cyclic, "boyd_lower", refuse)
+        patch_ascents(monkeypatch, lambda real: refuse)
         xs = [CyclicElement(1, [z]) for z in rng.standard_normal(6) + 1j * rng.standard_normal(6)]
         xs.append(CyclicElement(1, [0.0]))
-        for x, est in zip(xs, brackets(fpzn_norms(self._rows(xs), p, seed=2))):
+        for x, est in zip(xs, self._solve(self._rows(xs), p, seed=2)):
             # bit-equal to the exact p = 2 value, so a search over order-1
             # tuples ranks their angles alike at every p
             assert est.lower == est.upper == np.abs(x.xi[0]) == fpzn_norm(x, 2).lower
@@ -195,28 +198,84 @@ class TestFpznNorms:
             assert fpzn_norm(x, p, seed=2).method == "boyd+interp"
 
     def test_one_above_the_chunk_cap(self, rng, monkeypatch):
+        # dense products at order 5, FFT products at order 40 (e_0, 8 eigenvectors
+        # and 16 random columns per tuple)
         import lpkit.cyclic as cyclic
 
-        width = cyclic._circulant_starts(5, 32, 0).shape[1]
-        xs = self._elements(rng, 5, cyclic._CHUNK_COLUMNS // width + 1)
-        singles = [fpzn_norm(x, 3.0, seed=2) for x in xs]
-        blocks = self._count_blocks(monkeypatch)
-        self._assert_same(brackets(fpzn_norms(self._rows(xs), 3.0, seed=2)), singles)
-        assert blocks[0] == 2
+        for n, width in ((5, cyclic._circulant_starts(5, 32, 0).shape[1]), (40, 25)):
+            xs = self._elements(rng, n, cyclic._CHUNK_COLUMNS // width + 1)
+            singles = [fpzn_norm(x, 3.0, seed=2) for x in xs]
+            with monkeypatch.context() as patch:
+                blocks = self._count_blocks(patch)
+                self._assert_same(self._solve(self._rows(xs), 3.0, seed=2), singles)
+            assert blocks[0] == 2
 
     def test_reversed_batch(self, rng):
         for n, p in ((6, 1.5), (40, 3.0)):
             xs = self._elements(rng, n, 9)
-            forward = brackets(fpzn_norms(self._rows(xs), p, seed=1))
-            self._assert_same(brackets(fpzn_norms(self._rows(xs[::-1]), p, seed=1))[::-1],
-                              forward)
+            forward = self._solve(self._rows(xs), p, seed=1)
+            self._assert_same(self._solve(self._rows(xs[::-1]), p, seed=1)[::-1], forward)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_arrays_of_other_orders_change_no_bit(self, rng, monkeypatch, p):
+        # an array's triple is its solve alone, bit for bit, next to arrays of other
+        # orders: padded to order 7 (the order-5 array a next to b), past 8 (next to
+        # an order-12 array, where numpy's pairwise sums would regroup), next to an
+        # FFT order, and under a cap of one tuple's columns per block
+        import lpkit.cyclic as cyclic
+
+        def solved_a(batch, seed):
+            [got] = [s for xi, s in zip(batch, fpzn_norms(batch, p, tol=TIGHT_TOL, seed=seed))
+                     if xi is a]
+            return got
+
+        for case in range(4):
+            a = self._rows(self._elements(rng, 5, 1 + case % 3))
+            b = self._rows(self._elements(rng, 7, 2))
+            alone = solved_a([a], case)
+            others = [self._rows(self._elements(rng, n, 2)) for n in (12, 40)]
+            for batch in ([a, b], [b, a], [a, others[0]], [others[1], a, b]):
+                got = solved_a(batch, case)
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(got, alone, strict=True))
+            with monkeypatch.context() as patch:
+                patch_chunk_columns(patch, cyclic._circulant_starts(5, 32, 0).shape[1])
+                got = solved_a([b, a], case)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, alone, strict=True))
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_one_start_block_for_both_products(self, rng, monkeypatch, n):
+        # the dense stacks and the FFT blocks start a circulant from the same block;
+        # PAD_ORDER = 0 sends every order to the FFT blocks
+        import lpkit.pnorm as pnorm_mod
+
+        xs = self._elements(rng, n, 2)
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for kwargs in ({}, {"start": start}):
+            runs = []
+            for pad in (pnorm_mod.PAD_ORDER, 0):
+                starts = []
+
+                def wrap(real):
+                    def recording(matmat, rmatmat, block, p, **kw):
+                        starts.append(block)
+                        return real(matmat, rmatmat, block, p, **kw)
+                    return recording
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(pnorm_mod, "PAD_ORDER", pad)
+                    patch_ascents(patch, wrap)
+                    runs.append((self._solve(self._rows(xs), 1.5, seed=3, **kwargs), starts))
+            (dense, [dense_starts]), (fft, [fft_starts]) = runs
+            assert np.array_equal(dense_starts, fft_starts)
+            for a, b in zip(dense, fft, strict=True):
+                assert a.lower == pytest.approx(b.lower, rel=1e-12)
 
     def test_exact_exponents_and_empty(self, rng):
         xs = self._elements(rng, 5, 4)
         for p in (1.0, 2.0):
-            self._assert_same(brackets(fpzn_norms(self._rows(xs), p)),
-                              [fpzn_norm(x, p) for x in xs])
-        assert brackets(fpzn_norms(np.empty((0, 5)), 1.5)) == []
+            self._assert_same(self._solve(self._rows(xs), p), [fpzn_norm(x, p) for x in xs])
+        assert self._solve(np.empty((0, 5)), 1.5) == []
+        assert fpzn_norms([], 1.5) == []
 
     @pytest.mark.parametrize("n", [2, 5, 6, 40])
     @pytest.mark.parametrize("p", [1.25, 1.5, 3.0])
@@ -226,8 +285,7 @@ class TestFpznNorms:
         xs = [CyclicElement(n, np.fft.ifft(rng.random(n)) * n) for _ in range(4)]
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xi = self._rows(xs)
-        for a, b in zip(brackets(fpzn_norms(xi, p, seed=1, start=start)),
-                        brackets(fpzn_norms(xi, p, seed=1))):
+        for a, b in zip(self._solve(xi, p, seed=1, start=start), self._solve(xi, p, seed=1)):
             assert a.lower == b.lower and a.upper == b.upper
 
     @pytest.mark.parametrize("n", [3, 6, 40])
@@ -238,7 +296,7 @@ class TestFpznNorms:
 
         xs = self._elements(rng, n, 3)
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for x, est in zip(xs, brackets(fpzn_norms(self._rows(xs), p, seed=1, start=start))):
+        for x, est in zip(xs, self._solve(self._rows(xs), p, seed=1, start=start)):
             # the ascent from the carried start never ends below where it began,
             # and the witness reproduces the value reached
             assert est.lower >= value(x, start) * (1 - 1e-14)
@@ -253,22 +311,32 @@ class TestFpznNorms:
         pytest.param([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]], id="ragged"),
     ])
     def test_input_contract(self, monkeypatch, xi):
-        import lpkit.cyclic as cyclic
-
         def refuse(*args, **kwargs):
             raise AssertionError("solved before checking its input")
 
-        monkeypatch.setattr(cyclic, "boyd_lower", refuse)
+        patch_ascents(monkeypatch, lambda real: refuse)
         with pytest.raises(ValueError):
-            fpzn_norms(xi, 1.5)
+            fpzn_norms([xi], 1.5)
+        # one bad array refuses the call before any array is solved
+        with pytest.raises(ValueError):
+            fpzn_norms([np.ones((2, 3)), xi], 1.5)
+
+    def test_start_of_another_order(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before checking the start's order")
+
+        patch_ascents(monkeypatch, lambda real: refuse)
+        for orders in ((4,), (3, 4), (4, 40)):
+            with pytest.raises(ValueError, match="start of order 3"):
+                fpzn_norms([np.ones((2, n)) for n in orders], 1.5, start=np.ones(3))
 
     @pytest.mark.parametrize("n", [1, 5, 40])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_arrays_out(self, rng, n, p):
-        lower, upper, witness = fpzn_norms(self._rows(self._elements(rng, n, 3)), p)
+        [(lower, upper, witness)] = fpzn_norms([self._rows(self._elements(rng, n, 3))], p)
         assert lower.shape == upper.shape == (3,) and witness.shape == (3, n)
         assert lower.dtype == upper.dtype == float and witness.dtype == complex
-        lower, upper, witness = fpzn_norms(np.empty((0, n)), p)
+        [(lower, upper, witness)] = fpzn_norms([np.empty((0, n))], p)
         assert lower.shape == upper.shape == (0,) and witness.shape == (0, n)
 
     def test_start_block_keeps_e0_alone(self):
@@ -318,7 +386,7 @@ class TestFpznNorms:
         tracemalloc.start()
         try:
             with pytest.raises(Built):
-                fpzn_norms(xi, 1.5)
+                fpzn_norms([xi], 1.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -16,7 +16,7 @@ from lpkit.pnorm import (
     section_max,
 )
 
-from conftest import brackets, random_laurent
+from conftest import brackets, patch_ascents, random_laurent
 
 
 class TestAsExponent:
@@ -373,25 +373,27 @@ class TestCompaction:
 
     @staticmethod
     def _solve(monkeypatch, xs, p, keep_settled, seed=2):
-        """fpzn_norms(xs, p) and the widths of the blocks its matmat calls take."""
+        """fpzn_norms of the tuples xs, dense or FFT by their order, and the widths
+        of the blocks its matmat calls take."""
         import lpkit.cyclic as cyclic
 
         widths = []
-        real = cyclic.boyd_lower
 
-        def counting_boyd(matmat, rmatmat, starts, p, **kwargs):
-            def counted(X):
-                widths.append(X.shape[1])
-                return matmat(X)
+        def wrap(real):
+            def counting_boyd(matmat, rmatmat, starts, p, **kwargs):
+                def counted(X):
+                    widths.append(X.shape[1])
+                    return matmat(X)
 
-            return real(counted, rmatmat, starts, p, **kwargs)
+                return real(counted, rmatmat, starts, p, **kwargs)
+            return counting_boyd
 
         with monkeypatch.context() as patch:
-            patch.setattr(cyclic, "boyd_lower", counting_boyd)
+            patch_ascents(patch, wrap)
             if keep_settled:
                 TestCompaction._keep_settled(patch)
-            ests = brackets(cyclic.fpzn_norms(np.array([x.xi for x in xs]), p, seed=seed))
-        return ests, widths
+            [solved] = cyclic.fpzn_norms([np.array([x.xi for x in xs])], p, seed=seed)
+        return brackets(solved), widths
 
     @staticmethod
     def _assert_same(got, want):
@@ -410,8 +412,9 @@ class TestCompaction:
 
     @pytest.mark.parametrize("draw, n, p", [(4, 16, 1.25), (8, 12, 1.5), (13, 48, 1.5)])
     def test_lone_column_keeps_its_roundoff(self, monkeypatch, draw, n, p):
-        # these ascents end on one working column; summed alone, as a
-        # one-column block, it would end 1 ulp away from the kept-settled run
+        # these ascents end on one working column, on dense products (orders 12
+        # and 16) or FFT ones (order 48); summed alone, as a one-column block, it
+        # would end 1 ulp away from the kept-settled run
         rng = np.random.default_rng(draw)
         xs = [random_laurent(rng, span=int(rng.integers(2, 9))).samples(n)]
         got, widths = self._solve(monkeypatch, xs, p, keep_settled=False, seed=1)
@@ -420,11 +423,13 @@ class TestCompaction:
         self._assert_same(got, want)
 
     def test_fewer_matmat_columns(self, rng, monkeypatch):
-        xs = [random_laurent(rng, span=5).samples(96)]
-        (got,), narrowed = self._solve(monkeypatch, xs, 1.5, keep_settled=False)
-        (want,), kept = self._solve(monkeypatch, xs, 1.5, keep_settled=True)
-        assert got.lower == want.lower
-        assert sum(narrowed) <= 0.75 * sum(kept)
+        # a dense order and an FFT order
+        for n in (12, 96):
+            xs = [random_laurent(rng, span=5).samples(n)]
+            (got,), narrowed = self._solve(monkeypatch, xs, 1.5, keep_settled=False)
+            (want,), kept = self._solve(monkeypatch, xs, 1.5, keep_settled=True)
+            assert got.lower == want.lower
+            assert sum(narrowed) <= 0.75 * sum(kept)
 
 
 class TestStackedLower:
@@ -452,8 +457,9 @@ class TestStackedLower:
             return np.full(2, 7.0), np.ones((2, shapes[i][1]))
 
         monkeypatch.setattr(pnorm_mod, "boyd_lower", counting)
-        found = pnorm_mod.stacked_lower(shapes, lambda i: built.append(i) or stacks[i], 3.0,
-                                        alone, seed=0)
+        found = pnorm_mod.stacked_lower(shapes, lambda i: built.append(i) or stacks[i],
+                                        lambda i: default_starts(shapes[i][1], 32, 0), 3.0,
+                                        alone, tol=pnorm_mod.TIGHT_TOL)
         assert built == [0, 2] and solved == [1]
         assert sizes == [(5, 3, pnorm_mod.TIGHT_TOL)]
         assert found[1][0].tolist() == [7.0, 7.0] and np.array_equal(found[1][1], np.ones((2, 20)))
@@ -465,12 +471,39 @@ class TestStackedLower:
                 assert pnorm(A @ w, 3.0) / pnorm(w, 3.0) == pytest.approx(value, rel=1e-12)
                 assert value >= opnorm(A, 3.0, seed=0).lower * (1.0 - 1e-9)
 
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    def test_matmul_column_groups(self, rng, n):
+        # the batched-matmul assumption behind _stacked_matmats' bit-for-bit promise:
+        # with the column count a multiple of _GEMM_COLUMNS, a column's bits depend
+        # on its matrix and its own entries alone, not on the other columns, the
+        # other matrices or zero rows and columns padded on.  A BLAS whose kernel
+        # groups columns otherwise fails here, not in a bracket's last bit
+        import lpkit.pnorm as pnorm_mod
+
+        group = pnorm_mod._GEMM_COLUMNS
+        M = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        X = rng.standard_normal((3, n, 3 * group)) + 1j * rng.standard_normal((3, n, 3 * group))
+        full = np.matmul(M, X)
+        for width in (group, 2 * group):
+            narrow = np.matmul(M[1:], np.ascontiguousarray(X[1:, :, :width]))
+            assert narrow.tobytes() == full[1:, :, :width].tobytes(), "column groups"
+        size = n + 5
+        padded_M = np.zeros((3, size, size), dtype=complex)
+        padded_M[:, :n, :n] = M
+        padded_X = np.zeros((3, size, 3 * group), dtype=complex)
+        padded_X[:, :n] = X
+        padded = np.matmul(padded_M, padded_X)[:, :n]
+        assert padded.tobytes() == full.tobytes(), "zero padding"
+
     def test_chunks_split_rows_by_stack(self, rng, monkeypatch):
         # blocks of one row each: every stack's rows straddle block boundaries, and
-        # row r of stack i gets the bits of that row solved as a stack of its own.
-        # (Blocks of several rows agree only to roundoff: a dense product's last
-        # bits depend on the block's width.)
+        # row r of stack i gets the bits of that row solved in one block of all
+        # rows and solved as a stack of its own
         import lpkit.pnorm as pnorm_mod
+
+        def solve(shapes, stack):
+            return pnorm_mod.stacked_lower(shapes, stack, lambda i: default_starts(5, 32, 1),
+                                           1.5, None, tol=pnorm_mod.TIGHT_TOL)
 
         shapes = [(3, 5), (4, 5), (2, 5)]
         stacks = self._stacks(rng, shapes)
@@ -482,15 +515,14 @@ class TestStackedLower:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(pnorm_mod, "boyd_lower", counting)
-        whole = pnorm_mod.stacked_lower(shapes, stacks.__getitem__, 1.5, None, seed=1)
+        whole = solve(shapes, stacks.__getitem__)
         # every start block here has 32 columns (see default_starts)
         monkeypatch.setattr(pnorm_mod, "_CHUNK_COLUMNS", 32)
-        chunked = pnorm_mod.stacked_lower(shapes, stacks.__getitem__, 1.5, None, seed=1)
+        chunked = solve(shapes, stacks.__getitem__)
         assert groups == [9] + [1] * 9
         for stack, (values, W), (got_values, got_W) in zip(stacks, whole, chunked, strict=True):
             assert got_values.shape == values.shape and got_W.shape == W.shape
-            np.testing.assert_allclose(got_values, values, rtol=1e-12)
+            assert got_values.tobytes() == values.tobytes() and got_W.tobytes() == W.tobytes()
             for row, got_value, got_w in zip(stack, got_values, got_W):
-                [(value, w)] = pnorm_mod.stacked_lower([(1, 5)], lambda i: row[None], 1.5, None,
-                                                       seed=1)
+                [(value, w)] = solve([(1, 5)], lambda i: row[None])
                 assert got_value.tobytes() == value.tobytes() and got_w.tobytes() == w.tobytes()

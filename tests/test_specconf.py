@@ -362,25 +362,22 @@ class TestFpsigmaNorm:
         import lpkit.specconf as specconf
 
         calls = []
-        real = specconf.fpzn_norms_ragged
+        real = specconf.fpzn_norms
 
         def counting(xis, p, **kwargs):
             solved = real(xis, p, **kwargs)
-            calls.append(([np.shape(xi) for xi in xis], [brackets(s) for s in solved]))
+            calls.append(([np.shape(xi) for xi in xis], [brackets(s) for s in solved], kwargs))
             return solved
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a point slot solved on its own")
-
-        monkeypatch.setattr(specconf, "fpzn_norms_ragged", counting)
-        monkeypatch.setattr(specconf, "fpzn_norms", refuse)
+        monkeypatch.setattr(specconf, "fpzn_norms", counting)
         f = random_laurent(rng, span=3)
         cfg = points_config({2: (0, Fr(1, 2)), 3: (Fr(1, 7), Fr(1, 7) + Fr(1, 3),
                                                    Fr(1, 7) + Fr(2, 3))})
         est = fpsigma_norm(f, cfg, 3, seed=0)
-        # each slot is one rotation orbit, so one tuple per slot, both slots in one call
-        [(shapes, solved)] = calls
-        assert shapes == [(1, 2), (1, 3)]
+        # each slot is one rotation orbit, so one tuple per slot, both slots in one
+        # call at the tight tolerance, and no slot solved on its own
+        [(shapes, solved, kwargs)] = calls
+        assert shapes == [(1, 2), (1, 3)] and kwargs["tol"] == TIGHT_TOL
         ests = [e for slot in solved for e in slot]
         assert est.upper == max(e.upper for e in ests)
         assert est.lower == max(e.lower for e in ests)
@@ -424,13 +421,13 @@ class TestFpsigmaNorm:
         import lpkit.specconf as specconf
 
         calls = []
-        real = specconf.fpzn_norms_ragged
+        real = specconf.fpzn_norms
 
         def recording(xis, p, **kwargs):
             calls.append((xis, real(xis, p, **kwargs)))
             return calls[-1][1]
 
-        monkeypatch.setattr(specconf, "fpzn_norms_ragged", recording)
+        monkeypatch.setattr(specconf, "fpzn_norms", recording)
         f = random_laurent(rng, span=3)
         orbit = lambda n, *bases: [b + Fr(j, n) for b in bases for j in range(n)]
         cfg = points_config({3: orbit(3, Fr(1, 7)), 20: orbit(20, Fr(1, 41), Fr(1, 43))})
@@ -439,7 +436,7 @@ class TestFpsigmaNorm:
             est = fpsigma_norm(f, cfg, p, seed=0)
             [(xis, solved)] = calls
             assert [np.shape(xi) for xi in xis] == [(1, 3), (2, 20)]
-            want = cyclic.fpzn_norms(xis[1], p, tol=TIGHT_TOL, seed=0)
+            [want] = cyclic.fpzn_norms([xis[1]], p, tol=TIGHT_TOL, seed=0)
             for got, expected in zip(solved[1], want, strict=True):
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
             assert est.lower == max(float(lower.max()) for lower, _, _ in solved)
@@ -503,27 +500,24 @@ class TestFpsigmaNorm:
     def test_arc_slot_calls(self, rng, monkeypatch):
         import lpkit.specconf as specconf
 
-        calls, point_calls = [], []
-        real, real_points = specconf.fpzn_norms, specconf.fpzn_norms_ragged
+        calls = []
+        real = specconf.fpzn_norms
 
-        def counting(xs, p, **kwargs):
-            solved = real(xs, p, **kwargs)
-            calls.append((brackets(solved), kwargs))
-            return solved
-
-        def counting_points(xis, p, **kwargs):
-            solved = real_points(xis, p, **kwargs)
-            point_calls.append([brackets(s) for s in solved])
+        def counting(xis, p, **kwargs):
+            solved = real(xis, p, **kwargs)
+            calls.append(([brackets(s) for s in solved], kwargs))
             return solved
 
         monkeypatch.setattr(specconf, "fpzn_norms", counting)
-        monkeypatch.setattr(specconf, "fpzn_norms_ragged", counting_points)
         f = random_laurent(rng, span=3)
         arcset = ArcSet((0, Fr(1, 2)), ((0.1, 0.15), (0.6, 0.65)))
         est = fpsigma_norm(f, SpectralConfiguration({2: arcset}), 3, seed=0)
-        # the points 0 and 1/2 are one orbit: one tuple
-        [points] = point_calls
-        assert [len(ests) for ests in points] == [1]
+        # first the points, one call for every slot: 0 and 1/2 are one orbit, one tuple
+        (points, point_kwargs), *calls = calls
+        assert [len(ests) for ests in points] == [1] and point_kwargs["tol"] == TIGHT_TOL
+        # every arc call solves one array
+        assert all(len(solved) == 1 for solved, _ in calls)
+        calls = [(ests, kwargs) for [ests], kwargs in calls]
         # the grid of one orbit (one arc), ten k-section steps of eight angles
         # each, then the best arc angle's two rotations at the tight tolerance
         grid = len(ArcSet(arcs=((0.1, 0.15),)).arc_grid(1.0 / 2048))

@@ -14,7 +14,7 @@ from lpkit.zline import (
     sup_exact,
 )
 
-from conftest import brackets, random_laurent
+from conftest import brackets, patch_ascents, random_laurent
 
 
 def poly(*pairs):
@@ -221,17 +221,19 @@ class TestIncumbent:
     def _solve(monkeypatch, f, with_incumbent):
         """fpz_norm(f, 1.5, n_max=96) and the columns its ascents multiply by."""
         cols = [0]
-        real_boyd, real_norms = cyclic.boyd_lower, zline.fpzn_norms
+        real_norms = zline.fpzn_norms
 
-        def counting_boyd(matmat, rmatmat, starts, p, **kwargs):
-            def counted(X):
-                cols[0] += X.shape[1]
-                return matmat(X)
+        def wrap(real_boyd):
+            def counting_boyd(matmat, rmatmat, starts, p, **kwargs):
+                def counted(X):
+                    cols[0] += X.shape[1]
+                    return matmat(X)
 
-            return real_boyd(counted, rmatmat, starts, p, **kwargs)
+                return real_boyd(counted, rmatmat, starts, p, **kwargs)
+            return counting_boyd
 
         with monkeypatch.context() as patch:
-            patch.setattr(cyclic, "boyd_lower", counting_boyd)
+            patch_ascents(patch, wrap)
             if not with_incumbent:
                 patch.setattr(zline, "fpzn_norms",
                               lambda xs, p, **kw: real_norms(xs, p, **{**kw, "incumbent": 0.0}))
@@ -249,8 +251,8 @@ class TestIncumbent:
     def test_zero_incumbent_is_the_default(self, rng):
         f = random_laurent(rng, span=5)
         xs = np.array([f.samples(48, t).xi for t in (1.0, np.exp(0.3j))])
-        for a, b in zip(brackets(cyclic.fpzn_norms(xs, 1.5)),
-                        brackets(cyclic.fpzn_norms(xs, 1.5, incumbent=0.0)), strict=True):
+        for a, b in zip(brackets(cyclic.fpzn_norms([xs], 1.5)[0]),
+                        brackets(cyclic.fpzn_norms([xs], 1.5, incumbent=0.0)[0]), strict=True):
             assert a.lower == b.lower and a.upper == b.upper
             assert np.array_equal(a.witness, b.witness)
 
@@ -265,26 +267,27 @@ class TestOneBasisStart:
         `full_basis` every start block also holds the rotated basis vectors
         e_1, ..., e_{m-1} after e_0 (m = n for n <= 32, else 8)."""
         counts = [0, 0]
-        real = cyclic.boyd_lower
 
-        def counting(matmat, rmatmat, starts, p, **kwargs):
-            n, groups = len(starts), kwargs["groups"]
-            if full_basis:
-                m = n if n <= 32 else 8
-                own = starts.reshape(n, groups, -1)  # group-major column blocks
-                rotated = np.broadcast_to(np.eye(n, m)[:, None, 1:], (n, groups, m - 1))
-                starts = np.concatenate([own[:, :, :1], rotated, own[:, :, 1:]], axis=2)
-                starts = starts.reshape(n, -1)
+        def wrap(real):
+            def counting(matmat, rmatmat, starts, p, **kwargs):
+                n, groups = len(starts), kwargs["groups"]
+                if full_basis:
+                    m = n if n <= 32 else 8
+                    own = starts.reshape(n, groups, -1)  # group-major column blocks
+                    rotated = np.broadcast_to(np.eye(n, m)[:, None, 1:], (n, groups, m - 1))
+                    starts = np.concatenate([own[:, :, :1], rotated, own[:, :, 1:]], axis=2)
+                    starts = starts.reshape(n, -1)
 
-            def counted(X):
-                counts[0] += 1
-                counts[1] += X.shape[1]
-                return matmat(X)
+                def counted(X):
+                    counts[0] += 1
+                    counts[1] += X.shape[1]
+                    return matmat(X)
 
-            return real(counted, rmatmat, starts, p, **kwargs)
+                return real(counted, rmatmat, starts, p, **kwargs)
+            return counting
 
         with monkeypatch.context() as patch:
-            patch.setattr(cyclic, "boyd_lower", counting)
+            patch_ascents(patch, wrap)
             est = fpz_norm(f, p, n_max=96)
         return est.lower, counts
 
