@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnorm import (
-    _CHUNK_COLUMNS,
     _CONVERGENCE_TOL,
     NormEstimate,
     as_exponent,
-    boyd_lower,
+    boyd_lower,  # not called here, but bench/tracing.py patches this binding
     default_starts,
     interpolation_upper,
     method_of,
@@ -196,11 +195,12 @@ def fpzn_norms(xis, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, see
     with `start`, of the start's order.  p in {1, 2}, order 1 and empty
     arrays are exact.  The rest ascend at `tol` in pnorm.stacked_lower: orders
     up to PAD_ORDER as dense circulant stacks in one grouped ascent, each
-    larger order in FFT blocks (_fft_lower), both from one start block per
-    order.  It keeps e_0 alone of the basis (a circulant commutes with the
-    cyclic shift, so the ascent from e_j is e_0's rotated by j), then for
-    n <= 32 the DFT and random columns of pnorm.default_starts(n, restarts,
-    seed), for larger n the eigenvectors of the 8 largest |xi| and 16 random
+    larger order alone on FFT products (_fft_products), both from the start
+    blocks of _start_block.  They keep e_0 alone of the basis (a circulant
+    commutes with the cyclic shift, so the ascent from e_j is e_0's rotated
+    by j), then for n <= 32 the DFT and random columns of
+    pnorm.default_starts(n, restarts, seed), one block for every row, for
+    larger n each row's eigenvectors of its 8 largest |xi| and 16 random
     columns.  A carried `start`, such as a nearby tuple's witness, replaces
     e_0 and the random columns, so the lower bound still dominates max |xi|
     (Higham, Numer. Math. 62 (1992)).  Upper bounds interpolate the exact
@@ -224,10 +224,8 @@ def fpzn_norms(xis, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, see
     orders = [xis[i].shape[1] for i in todo]
     found = stacked_lower(
         [xis[i].shape for i in todo], lambda j: data[j][0][:, _circulant_index(orders[j])],
-        lambda j: _start_block(orders[j], restarts, seed, carried), p,
-        lambda j: _fft_lower(data[j][0], mods[todo[j]], p, restarts, seed, carried, tol,
-                             incumbent),
-        tol=tol, incumbent=incumbent)
+        lambda j: _start_block(mods[todo[j]], restarts, seed, carried), p, tol=tol,
+        incumbent=incumbent, products=lambda j: _fft_products(data[j][0]))
     for i, (_, n1, n2), (lower, witness) in zip(todo, data, found):
         # Riesz-Thorin (p = inf equals p = 1 for a circulant) in Python-float powers,
         # one tuple at a time: a numpy array power can differ in the last bit
@@ -255,37 +253,27 @@ def _exact(xi: np.ndarray, mod: np.ndarray, p: float):
     return None
 
 
-def _start_block(n: int, restarts: int, seed: int, carried) -> np.ndarray:
-    """The start block of every order-n circulant for n <= 32 (see fpzn_norms)."""
-    block = _circulant_starts(n, restarts, seed)
-    return block if carried is None else np.concatenate([block[:, 1:n + 1], carried], axis=1)
-
-
-def _fft_lower(coeffs: np.ndarray, mod: np.ndarray, p: float, restarts: int, seed: int,
-               carried, tol: float, incumbent: float) -> tuple[np.ndarray, np.ndarray]:
-    """fpzn_norms' lower bounds and witnesses, shapes (k,) and (k, n), of the circulants of
-    (k, n) coefficient rows and moduli, by FFT products in blocks of _CHUNK_COLUMNS."""
-    k, n = coeffs.shape
+def _start_block(mod: np.ndarray, restarts: int, seed: int, carried) -> np.ndarray:
+    """The start block of the circulants of (k, n) moduli rows (see fpzn_norms): for
+    n <= 32 one (n, c) block every row shares, above that a (k, n, c) block, one per row."""
+    k, n = mod.shape
     if n <= 32:
-        starts = [_start_block(n, restarts, seed, carried)] * k
-    else:
-        rng = np.random.default_rng(seed)
-        rand = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
-        eigs = np.swapaxes(_eigenvectors(n, np.argsort(mod, axis=1)[:, -8:]), 1, 2)
-        starts = [np.concatenate([eig, carried] if carried is not None else
-                                 [np.eye(n, 1, dtype=complex), eig, rand], axis=1)
-                  for eig in eigs]
+        block = _circulant_starts(n, restarts, seed)
+        return block if carried is None else np.concatenate([block[:, 1:n + 1], carried], axis=1)
+    eigs = np.swapaxes(_eigenvectors(n, np.argsort(mod, axis=1)[:, -8:]), 1, 2)
+    if carried is not None:
+        return np.concatenate([eigs, np.broadcast_to(carried, (k, n, 1))], axis=2)
+    rng = np.random.default_rng(seed)
+    rand = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
+    return np.concatenate([np.broadcast_to(np.eye(n, 1, dtype=complex), (k, n, 1)), eigs,
+                           np.broadcast_to(rand, (k, n, 16))], axis=2)
+
+
+def _fft_products(coeffs: np.ndarray):
+    """pnorm.stacked_lower's products of the circulants of (k, n) coefficient rows:
+    rows -> the FFT products of those rows' circulants."""
     fhat = np.fft.fft(coeffs, axis=1)  # row j: the FFT symbol of row j's circulant
-    per_block = max(1, _CHUNK_COLUMNS // starts[0].shape[1])
-    found = []
-    for lo in range(0, k, per_block):
-        block = slice(lo, lo + per_block)
-        matmat, rmatmat, select = _circulant_matmats(fhat[block].T)
-        found.append(boyd_lower(matmat, rmatmat, np.concatenate(starts[block], axis=1), p,
-                                tol=tol, groups=len(starts[block]), select=select,
-                                incumbent=incumbent))
-    return (np.concatenate([values for values, _ in found]),
-            np.concatenate([W for _, W in found], axis=1).T)
+    return lambda rows: _circulant_matmats(fhat[rows].T)
 
 
 @functools.lru_cache(maxsize=128)

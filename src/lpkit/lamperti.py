@@ -340,8 +340,9 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
     sum of its blocks on the cycles of T, so f(v) is the direct sum of the
     blocks f(B_c), and its ell^p norm is their largest (Lamperti, Pacific
     J. Math. 8 (1958)).  Each f(B_c) is built from v's entries (_cycle_blocks),
-    bracketed exactly at p in {1, 2} (opnorm) and otherwise by
-    pnorm.grouped_opnorm: the largest block lower bound, with its witness
+    bracketed exactly at p in {1, 2} (opnorm) and otherwise by one
+    pnorm.grouped_opnorm call, every block at pnorm.TIGHT_TOL whatever its
+    order: the largest block lower bound, with its witness
     placed at that cycle's atoms, and the largest block Riesz-Thorin bound,
     each at most the whole matrix's.
     via-sigma: configuration norm of f over sigma(v), exact for atomic v

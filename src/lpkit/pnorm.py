@@ -358,49 +358,67 @@ def _stacked_matmats(stack: np.ndarray):
     return (lambda X: product(X, mats)), (lambda X: product(X, adjoints)), select
 
 
-def stacked_lower(shapes, stack, starts, p: float, alone, *, tol: float,
-                  incumbent: float = 0.0) -> list:
+def _grouped_lower(products, starts: np.ndarray, p: float, tol: float, incumbent: float):
+    """boyd_lower of the groups of a (groups, n, c) start array, group g from the
+    columns starts[g], in blocks of at most _CHUNK_COLUMNS columns: products(rows)
+    gives the (matmat, rmatmat, select) of the groups in the slice `rows`.
+    Returns arrays (values, witnesses) of shapes (groups,) and (groups, n)."""
+    groups, n, c = starts.shape
+    values, W = np.zeros(groups), np.zeros((n, groups), dtype=complex)
+    per_block = max(1, _CHUNK_COLUMNS // c)
+    for lo in range(0, groups, per_block):
+        part = slice(lo, lo + per_block)
+        matmat, rmatmat, select = products(part)
+        block = starts[part]
+        values[part], W[:, part] = boyd_lower(matmat, rmatmat, np.concatenate(block, axis=1), p,
+                                              tol=tol, groups=len(block), select=select,
+                                              incumbent=incumbent)
+    return values, W.T
+
+
+def stacked_lower(shapes, stack, starts, p: float, *, tol: float, incumbent: float = 0.0,
+                  products=None) -> list:
     """Boyd lower bounds of a list of (k, n, n) stacks of square matrices, as one pair
-    of arrays (values, witnesses) per stack, of shapes (k,) and (k, n): shapes[i] is
-    (k, n), stack(i) builds stack i, starts(i) is its rows' (n, c) start block,
-    and alone(i) bounds stack i on its own.
+    of arrays (values, witnesses) per stack, of shapes (k,) and (k, n), all at `tol`
+    and `incumbent`: shapes[i] is (k, n), stack(i) builds stack i, and starts(i) is
+    an (n, c) start block its rows share or a (k, n, c) block, one per row.
 
     The rows of the stacks of order up to PAD_ORDER run as the groups of one
-    boyd_lower ascent at `tol` and `incumbent`, stack after stack, zero-padded
-    to the largest of those orders and to the widest start block, in blocks
-    of at most _CHUNK_COLUMNS columns.  A padded coordinate stays zero, a zero
-    start column settles at once, and neither the products nor the sums
+    boyd_lower ascent, stack after stack, zero-padded to the largest of those
+    orders and to the widest start block.  A padded coordinate stays zero, a
+    zero start column settles at once, and neither the products nor the sums
     depend on the padding or the batch-mates, so each row gets the bits it
     gets alone; the number of iterations is the largest over the rows, not
-    their sum.  Every larger stack goes to alone(i) and is never built here.
+    their sum.  Each larger stack runs alone and unpadded, on products(i), which
+    maps a slice of its rows to their (matmat, rmatmat, select) (FFT products
+    for circulants; stack i is then never built), or else on its dense stack.
     """
-    out = [alone(i) if n > PAD_ORDER else None for i, (_, n) in enumerate(shapes)]
+    def rows_of(i):  # starts(i), one block per row
+        block = starts(i)
+        return np.broadcast_to(block, (shapes[i][0],) + block.shape[-2:])
+
+    def dense(mats):
+        return lambda rows: _stacked_matmats(mats[rows])
+
+    out = [None] * len(shapes)
+    for i, (_, n) in enumerate(shapes):
+        if n > PAD_ORDER:
+            out[i] = _grouped_lower(products(i) if products else dense(stack(i)), rows_of(i), p,
+                                    tol, incumbent)
     small = [i for i, solved in enumerate(out) if solved is None]
-    if not small:
-        return out
-    blocks = [starts(i) for i in small]
-    size = max(shapes[i][1] for i in small)
-    k = max(block.shape[1] for block in blocks)
-    counts = [shapes[i][0] for i in small]
-    ends = np.cumsum(counts)
-    owner = np.repeat(np.arange(len(small)), counts)  # each row's stack
-    mats = np.zeros((ends[-1], size, size), dtype=complex)
-    padded = np.zeros((len(small), size, k), dtype=complex)
-    for g, (i, block) in enumerate(zip(small, blocks)):
-        n = shapes[i][1]
-        mats[ends[g] - counts[g]:ends[g], :n, :n] = stack(i)
-        padded[g, :n, :block.shape[1]] = block
-    values, W = np.zeros(len(mats)), np.zeros((size, len(mats)), dtype=complex)
-    per_block = max(1, _CHUNK_COLUMNS // k)
-    for lo in range(0, len(mats), per_block):
-        part = slice(lo, lo + per_block)
-        matmat, rmatmat, select = _stacked_matmats(mats[part])
-        block = np.concatenate(padded[owner[part]], axis=1)
-        values[part], W[:, part] = boyd_lower(matmat, rmatmat, block, p, tol=tol,
-                                              groups=len(mats[part]), select=select,
-                                              incumbent=incumbent)
-    for i, lower, found in zip(small, np.split(values, ends[:-1]), np.split(W, ends[:-1], axis=1)):
-        out[i] = lower, found[:shapes[i][1]].T
+    if small:
+        blocks = [rows_of(i) for i in small]
+        ends = np.cumsum([len(block) for block in blocks])
+        size = max(shapes[i][1] for i in small)
+        mats = np.zeros((ends[-1], size, size), dtype=complex)
+        padded = np.zeros((ends[-1], size, max(block.shape[2] for block in blocks)), dtype=complex)
+        for i, block, end in zip(small, blocks, ends):
+            _, n, c = block.shape
+            mats[end - len(block):end, :n, :n] = stack(i)
+            padded[end - len(block):end, :n, :c] = block
+        values, W = _grouped_lower(dense(mats), padded, p, tol, incumbent)
+        for i, lower, found in zip(small, np.split(values, ends[:-1]), np.split(W, ends[:-1])):
+            out[i] = lower, found[:, :shapes[i][1]]
     return out
 
 
@@ -408,27 +426,17 @@ def _interpolation_upper_of(A: np.ndarray, p: float) -> float:
     return interpolation_upper(p, _norm1(A)[0], _norm2(A)[0], _norm1(A.T)[0])
 
 
-def _dense_lower(A: np.ndarray, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """opnorm's lower bound of A at p outside {1, 2} and its witness, as arrays of
-    shapes (1,) and (1, n): one ascent from default_starts(n, 32, seed) at the
-    default tolerance."""
-    values, W = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X,
-                           default_starts(len(A), 32, seed), p)
-    return values, W.T
-
-
 def grouped_opnorm(mats, p, *, seed: int = 0) -> list[NormEstimate]:
     """opnorm of each matrix in a list at p outside {1, 2}, where opnorm is exact.
 
     The same Riesz-Thorin upper bounds as opnorm; lower bounds from one stacked_lower
-    call at TIGHT_TOL, each matrix a stack of one from default_starts(n, 32, seed),
-    and opnorm's own ascent for each matrix above PAD_ORDER.
+    call at TIGHT_TOL, each matrix a stack of one from default_starts(n, 32, seed):
+    padded together up to PAD_ORDER, each larger one alone on its own dense products.
     """
     p = as_exponent(p)
     mats = [_as_square_matrix(A) for A in mats]
     found = stacked_lower([(1, len(A)) for A in mats], lambda i: mats[i][None],
-                          lambda i: default_starts(len(mats[i]), 32, seed), p,
-                          lambda i: _dense_lower(mats[i], p, seed), tol=TIGHT_TOL)
+                          lambda i: default_starts(len(mats[i]), 32, seed), p, tol=TIGHT_TOL)
     return [NormEstimate(float(lo), float(max(_interpolation_upper_of(A, p), lo)), w,
                          "boyd+interp") for A, ([lo], [w]) in zip(mats, found)]
 
@@ -455,9 +463,10 @@ def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
         val, w = _norm2(A)
         return NormEstimate(val, val, w, "exact-p2")
 
-    [lower], [w] = _dense_lower(A, p, seed)
+    [lower], W = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X,
+                            default_starts(n, 32, seed), p)
     upper = _interpolation_upper_of(A, p)
-    return NormEstimate(float(lower), float(max(upper, lower)), w, "boyd+interp")
+    return NormEstimate(float(lower), float(max(upper, lower)), W[:, 0], "boyd+interp")
 
 
 def section_max(f, center, half, steps: int):

@@ -145,6 +145,11 @@ def sup_exact(f: LaurentPolynomial) -> tuple[float, complex]:
     return float(vals[j]), complex(candidates[j])
 
 
+# largest n_max fpz_norm and largest n cyclic_lower take: a schedule step's three
+# tuples need about 3.9 KB per unit of n before the ascent starts, 64 MB at this n
+_N_MAX = 16384
+
+
 def cyclic_lower(f: LaurentPolynomial, n: int, p, *, seed: int = 0) -> float:
     """Lower bound on the F^p(Z) norm from the order-n cyclic quotient.
 
@@ -152,15 +157,11 @@ def cyclic_lower(f: LaurentPolynomial, n: int, p, *, seed: int = 0) -> float:
     of ell^p_n, a contractive representation, so the value never exceeds the
     true norm.  Nondecreasing along divisibility chains of n; the ascent runs
     tighter than the default so that monotonicity survives convergence slack.
+    ValueError, before sampling, unless 1 <= n <= _N_MAX (16384).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= _N_MAX:
+        raise ValueError(f"n must satisfy 1 <= n <= {_N_MAX}, got {n!r}")
     return fpzn_norm(f.samples(n), p, tol=TIGHT_TOL, restarts=64, seed=seed).lower
-
-
-# largest n_max fpz_norm takes: a schedule step's three tuples need about
-# 3.9 KB per unit of n before the ascent starts, 64 MB at this n
-_N_MAX = 16384
 
 
 def _schedule(n_max: int) -> list[int]:

@@ -48,22 +48,18 @@ def brackets(solved):
 
 
 def patch_ascents(patch, wrap):
-    """Replace boyd_lower by wrap(boyd_lower) at both places that call it: the FFT
-    blocks (lpkit.cyclic) and the dense stacks (lpkit.pnorm)."""
-    import lpkit.cyclic as cyclic
+    """Replace boyd_lower by wrap(boyd_lower) where every ascent calls it: lpkit.pnorm,
+    whose stacked_lower runs the dense stacks and the FFT blocks alike."""
     import lpkit.pnorm as pnorm
 
-    for module in (cyclic, pnorm):
-        patch.setattr(module, "boyd_lower", wrap(module.boyd_lower))
+    patch.setattr(pnorm, "boyd_lower", wrap(pnorm.boyd_lower))
 
 
 def patch_chunk_columns(patch, columns):
-    """Cap the blocks of both product paths at `columns` columns."""
-    import lpkit.cyclic as cyclic
+    """Cap every grouped ascent's blocks at `columns` columns."""
     import lpkit.pnorm as pnorm
 
-    for module in (cyclic, pnorm):
-        patch.setattr(module, "_CHUNK_COLUMNS", columns)
+    patch.setattr(pnorm, "_CHUNK_COLUMNS", columns)
 
 
 @pytest.fixture

@@ -262,6 +262,22 @@ class TestSweep:
                 at_8[seed] = lower
         assert at_8[0] != at_8[1]
 
+    def test_n_grid_cap(self, files, capsys, monkeypatch):
+        # an order above 16384, the cap of norm z's --n-max, is refused before any
+        # ascent; 16384 itself passes the check and reaches the ascent
+        import lpkit.pnorm as pnorm_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ascent")
+
+        monkeypatch.setattr(pnorm_mod, "boyd_lower", refuse)
+        args = ("sweep", "--kind", "z", "--in", files["poly.json"], "--p", "1.5", "--seed", "0")
+        rc, out, err = run(capsys, *args, "--n-grid", "16385")
+        assert rc == EXIT_PRECONDITION and out == ""
+        assert "n must satisfy 1 <= n <= 16384" in err
+        with pytest.raises(AssertionError, match="an ascent"):
+            run(capsys, *args, "--n-grid", "16384")
+
     @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
     def test_n_grid_bad_tol(self, files, capsys, tol):
         rc, out, err = run(capsys, "sweep", "--kind", "z", "--in", files["poly.json"],
@@ -502,3 +518,22 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_bench_tracer_sites_resolve(monkeypatch):
+    # the benchmark's traced run patches every (module, attribute) site in
+    # bench/tracing.py's SITES and stops at a missing one; a refactor that drops
+    # a bound name fails here by name.  The file is loaded, never written to
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("lpkit_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [site for sites in tracing.SITES.values() for site in sites]
+    assert sites
+    missing = [(module, attr) for module, attr in sites
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -201,9 +201,10 @@ class TestFpznNorms:
         # dense products at order 5, FFT products at order 40 (e_0, 8 eigenvectors
         # and 16 random columns per tuple)
         import lpkit.cyclic as cyclic
+        import lpkit.pnorm as pnorm_mod
 
         for n, width in ((5, cyclic._circulant_starts(5, 32, 0).shape[1]), (40, 25)):
-            xs = self._elements(rng, n, cyclic._CHUNK_COLUMNS // width + 1)
+            xs = self._elements(rng, n, pnorm_mod._CHUNK_COLUMNS // width + 1)
             singles = [fpzn_norm(x, 3.0, seed=2) for x in xs]
             with monkeypatch.context() as patch:
                 blocks = self._count_blocks(patch)
@@ -373,7 +374,7 @@ class TestFpznNorms:
         # vector, never an n x n identity (268 MB at this n)
         import tracemalloc
 
-        import lpkit.cyclic as cyclic
+        import lpkit.pnorm as pnorm_mod
 
         class Built(Exception):
             pass
@@ -381,7 +382,7 @@ class TestFpznNorms:
         def refuse(*args, **kwargs):
             raise Built
 
-        monkeypatch.setattr(cyclic, "boyd_lower", refuse)
+        monkeypatch.setattr(pnorm_mod, "boyd_lower", refuse)
         xi = rng.standard_normal((3, 4096)) + 1j * rng.standard_normal((3, 4096))
         tracemalloc.start()
         try:

@@ -333,7 +333,7 @@ class TestFpvNorm:
 
     def test_direct_one_ascent(self, rng, monkeypatch):
         # every cycle block of order up to 16 in one grouped ascent at the tight
-        # tolerance; an order above 16 gets opnorm's own ascent, at the default one
+        # tolerance; an order above 16 runs alone, at the same tolerance
         import lpkit.pnorm as pnorm_module
 
         calls = []
@@ -353,7 +353,7 @@ class TestFpvNorm:
         w = isometry(rng.random(22) + 0.5, np.exp(2j * np.pi * rng.random(22)),
                      np.concatenate([T, [20, 21]]))
         fpv_norm(f, w, 3, "direct", seed=0)
-        assert calls == [(1, _CONVERGENCE_TOL), (2, TIGHT_TOL)]
+        assert calls == [(1, TIGHT_TOL), (2, TIGHT_TOL)]
 
     def test_gauge_invariance(self, rng):
         v = random_spatial_isometry(rng, max_atoms=8)

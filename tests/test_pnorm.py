@@ -10,6 +10,7 @@ from lpkit.pnorm import (
     as_exponent,
     boyd_lower,
     default_starts,
+    grouped_opnorm,
     opnorm,
     opnorm_oracle,
     pnorm,
@@ -303,9 +304,10 @@ class TestStallRule:
     def _counted_fpzn(monkeypatch, x, seed=0):
         """fpzn_norm(x, 1.5) with the ascent's matmat calls counted."""
         import lpkit.cyclic as cyclic
+        import lpkit.pnorm as pnorm_mod
 
         calls = [0]
-        real = cyclic.boyd_lower
+        real = pnorm_mod.boyd_lower
 
         def counting_boyd(matmat, rmatmat, starts, p, **kwargs):
             def counted(X):
@@ -315,7 +317,7 @@ class TestStallRule:
             return real(counted, rmatmat, starts, p, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(cyclic, "boyd_lower", counting_boyd)
+            patch.setattr(pnorm_mod, "boyd_lower", counting_boyd)
             est = cyclic.fpzn_norm(x, 1.5, seed=seed)
         return est.lower, calls[0]
 
@@ -440,36 +442,62 @@ class TestStackedLower:
 
     def test_pads_only_up_to_cap(self, rng, monkeypatch):
         # the rows of stacks of order up to PAD_ORDER share one ascent padded to the
-        # largest of them; a larger stack is never built, and alone() bounds it once
+        # largest of them; a larger stack runs alone and unpadded at the same tol, on
+        # its dense stack or on products(i), when it is never built
         import lpkit.pnorm as pnorm_mod
 
         shapes = [(1, 3), (2, pnorm_mod.PAD_ORDER + 4), (2, 5)]
         stacks = self._stacks(rng, shapes)
-        built, solved, sizes = [], [], []
+        sizes, made = [], []
         real = pnorm_mod.boyd_lower
 
         def counting(matmat, rmatmat, starts, p, **kwargs):
-            sizes.append((starts.shape[0], kwargs["groups"], kwargs["tol"]))
+            sizes.append((starts.shape, kwargs["groups"], kwargs["tol"]))
             return real(matmat, rmatmat, starts, p, **kwargs)
 
-        def alone(i):
-            solved.append(i)
-            return np.full(2, 7.0), np.ones((2, shapes[i][1]))
+        def products(i):
+            made.append(i)
+            return lambda rows: pnorm_mod._stacked_matmats(stacks[i][rows])
+
+        def solve(**kwargs):
+            built = []
+            found = pnorm_mod.stacked_lower(shapes, lambda i: built.append(i) or stacks[i],
+                                            lambda i: default_starts(shapes[i][1], 32, 0), 3.0,
+                                            tol=pnorm_mod.TIGHT_TOL, **kwargs)
+            return found, built
 
         monkeypatch.setattr(pnorm_mod, "boyd_lower", counting)
-        found = pnorm_mod.stacked_lower(shapes, lambda i: built.append(i) or stacks[i],
-                                        lambda i: default_starts(shapes[i][1], 32, 0), 3.0,
-                                        alone, tol=pnorm_mod.TIGHT_TOL)
-        assert built == [0, 2] and solved == [1]
-        assert sizes == [(5, 3, pnorm_mod.TIGHT_TOL)]
-        assert found[1][0].tolist() == [7.0, 7.0] and np.array_equal(found[1][1], np.ones((2, 20)))
+        found, built = solve()
+        assert built == [1, 0, 2] and made == []
+        # default_starts gives 44 columns at order 20 and 32 at orders 3 and 5
+        assert sizes == [((20, 2 * 44), 2, pnorm_mod.TIGHT_TOL),
+                         ((5, 3 * 32), 3, pnorm_mod.TIGHT_TOL)]
+        sizes.clear()
+        got, built = solve(products=products)
+        assert built == [0, 2] and made == [1]
+        assert sizes == [((20, 2 * 44), 2, pnorm_mod.TIGHT_TOL),
+                         ((5, 3 * 32), 3, pnorm_mod.TIGHT_TOL)]
+        for (values, W), (got_values, got_W) in zip(found, got, strict=True):
+            assert got_values.tobytes() == values.tobytes() and got_W.tobytes() == W.tobytes()
         monkeypatch.setattr(pnorm_mod, "boyd_lower", real)
-        for i in (0, 2):
+        for i in range(3):
             values, W = found[i]
             assert values.shape == (shapes[i][0],) and W.shape == shapes[i]
             for A, value, w in zip(stacks[i], values, W, strict=True):
                 assert pnorm(A @ w, 3.0) / pnorm(w, 3.0) == pytest.approx(value, rel=1e-12)
                 assert value >= opnorm(A, 3.0, seed=0).lower * (1.0 - 1e-9)
+
+    def test_order_above_cap_changes_no_bit(self, rng):
+        # grouped_opnorm's order-20 matrix runs alone, the order-3 one padded: a
+        # call of both gives each the bits it gets in a call of its own
+        A = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+        B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for p in (1.5, 3.0):
+            both = grouped_opnorm([A, B], p)
+            for got, [want] in zip(both, (grouped_opnorm([A], p), grouped_opnorm([B], p)),
+                                   strict=True):
+                assert (got.lower, got.upper, got.method) == (want.lower, want.upper, want.method)
+                assert got.witness.tobytes() == want.witness.tobytes()
 
     @pytest.mark.parametrize("n", [2, 5, 8, 16])
     def test_matmul_column_groups(self, rng, n):
@@ -503,7 +531,7 @@ class TestStackedLower:
 
         def solve(shapes, stack):
             return pnorm_mod.stacked_lower(shapes, stack, lambda i: default_starts(5, 32, 1),
-                                           1.5, None, tol=pnorm_mod.TIGHT_TOL)
+                                           1.5, tol=pnorm_mod.TIGHT_TOL)
 
         shapes = [(3, 5), (4, 5), (2, 5)]
         stacks = self._stacks(rng, shapes)

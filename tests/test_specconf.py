@@ -396,7 +396,7 @@ class TestFpsigmaNorm:
             return real(*args, **kwargs)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("an FFT ascent")
+            raise AssertionError("an FFT product")
 
         f = random_laurent(rng, span=3)
         orbit = lambda n, *bases: [b + Fr(j, n) for b in bases for j in range(n)]
@@ -409,7 +409,7 @@ class TestFpsigmaNorm:
                            tol=TIGHT_TOL).lower
                  for n, arcset in cfg.finite_slots.items() for a in arcset.points]
         monkeypatch.setattr(pnorm, "boyd_lower", counting)
-        monkeypatch.setattr(cyclic, "boyd_lower", refuse)
+        monkeypatch.setattr(cyclic, "_circulant_matmats", refuse)
         est = fpsigma_norm(f, cfg, 3, seed=0)
         assert groups == [(2 + 1 + 2, TIGHT_TOL)]
         assert est.lower == pytest.approx(max(every), rel=1e-11)

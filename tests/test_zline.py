@@ -160,12 +160,12 @@ class TestFpzNorm:
 
     def test_n_max_cap(self, monkeypatch):
         # n_max above 16384 is refused before any ascent; 16384 itself is taken
-        import lpkit.cyclic as cyclic
+        import lpkit.pnorm as pnorm_mod
 
         def refuse(*args, **kwargs):
             raise AssertionError("solved before checking n_max")
 
-        monkeypatch.setattr(cyclic, "boyd_lower", refuse)
+        monkeypatch.setattr(pnorm_mod, "boyd_lower", refuse)
         f = poly((0, 1), (1, 0.5), (3, 0.5j))  # l1 2 > sup 1.949: no bracket closes at n = 1
         for n_max in (16385, 10**9):
             with pytest.raises(ValueError, match="n_max must be at most 16384"):
