@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclic import json_complex, json_int, json_real
-from .pnorm import NormEstimate, as_exponent, grouped_opnorm, method_of, opnorm
+from .pnorm import NormEstimate, as_exponent, grouped_opnorm, method_of
+from .pnorm import opnorm  # not called here, but bench/tracing.py patches this binding
 from .specconf import (
     ArcSet,
     SpectralConfiguration,
@@ -340,11 +341,10 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
     sum of its blocks on the cycles of T, so f(v) is the direct sum of the
     blocks f(B_c), and its ell^p norm is their largest (Lamperti, Pacific
     J. Math. 8 (1958)).  Each f(B_c) is built from v's entries (_cycle_blocks),
-    bracketed exactly at p in {1, 2} (opnorm) and otherwise by one
-    pnorm.grouped_opnorm call, every block at pnorm.TIGHT_TOL whatever its
-    order: the largest block lower bound, with its witness
-    placed at that cycle's atoms, and the largest block Riesz-Thorin bound,
-    each at most the whole matrix's.
+    and one pnorm.grouped_opnorm call brackets them all, exactly at p in {1, 2}
+    and otherwise at pnorm.TIGHT_TOL whatever a block's order: the largest block
+    lower bound, with its witness placed at that cycle's atoms, and the largest
+    block upper bound, each at most the whole matrix's.
     via-sigma: configuration norm of f over sigma(v), exact for atomic v
     since all finite slots are point sets.  both: the pair, whose brackets
     must overlap.
@@ -357,11 +357,7 @@ def fpv_norm(f: LaurentPolynomial, v: SpatialIsometry, p, mode: str = "both", *,
         if v.aperiodic:
             raise ValueError("direct mode needs aperiodic = False")
         cycles = periods(v).cycles
-        blocks = _cycle_blocks(f, v, p, cycles)
-        if p in (1.0, 2.0):
-            ests = [opnorm(B, p) for B in blocks]
-        else:
-            ests = grouped_opnorm(blocks, p, seed=seed)
+        ests = grouped_opnorm(_cycle_blocks(f, v, p, cycles), p, seed=seed)
         c = max(range(len(ests)), key=lambda i: ests[i].lower)
         witness = np.zeros(v.space.n_atoms, dtype=complex)
         witness[list(cycles[c].atoms)] = ests[c].witness

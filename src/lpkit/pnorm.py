@@ -10,8 +10,11 @@ singular value).  For other exponents this module brackets the norm:
 * upper bound: Riesz-Thorin interpolation between the exact endpoint norms
   at p in {1, 2, infinity}.
 
-Every estimate carries a witness vector achieving the reported lower bound,
-and an independent coordinate-ascent oracle is provided for cross-checks.
+grouped_opnorm is the one matrix bracket: it brackets a list of matrices,
+exactly at p in {1, 2} and otherwise in one stacked_lower call, and opnorm is
+grouped_opnorm of one matrix.  Every estimate carries a witness vector
+achieving the reported lower bound, and an independent coordinate-ascent
+oracle is provided for cross-checks.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ _CHUNK_COLUMNS = 4096
 _GEMM_COLUMNS = 4
 # largest order stacked_lower zero-pads a matrix to; a larger one gets its own ascent
 # (FFT blocks for a circulant).  Cycle blocks of order 20 and 24 took 16-28% longer
-# padded at TIGHT_TOL than in opnorm's own ascent.  Unpadded circulant ascents on
+# padded at TIGHT_TOL than alone and unpadded.  Unpadded circulant ascents on
 # dense products took 0.67-1.09 (median 0.83) of the FFT's time per iteration at
 # n = 8, 12, 16, 24 and 32 with the same iterations, 1-8 tuples, p = 1.5 and 3
 PAD_ORDER = 16
@@ -426,15 +429,31 @@ def _interpolation_upper_of(A: np.ndarray, p: float) -> float:
     return interpolation_upper(p, _norm1(A)[0], _norm2(A)[0], _norm1(A.T)[0])
 
 
-def grouped_opnorm(mats, p, *, seed: int = 0) -> list[NormEstimate]:
-    """opnorm of each matrix in a list at p outside {1, 2}, where opnorm is exact.
+def _exact_opnorm(A: np.ndarray, p: float) -> NormEstimate:
+    """||A||_1 with the basis vector of its largest column sum as witness, or ||A||_2
+    with its right singular vector."""
+    if p == 1.0:
+        val, j = _norm1(A)
+        w = np.zeros(len(A), dtype=complex)
+        w[j] = 1.0
+    else:
+        val, w = _norm2(A)
+    return NormEstimate(val, val, w, method_of(p))
 
-    The same Riesz-Thorin upper bounds as opnorm; lower bounds from one stacked_lower
-    call at TIGHT_TOL, each matrix a stack of one from default_starts(n, 32, seed):
-    padded together up to PAD_ORDER, each larger one alone on its own dense products.
+
+def grouped_opnorm(mats, p, *, seed: int = 0) -> list[NormEstimate]:
+    """Certified bracket for the operator norm on ell^p_n of each matrix in a list.
+
+    p = 1 and p = 2 are exact (see _exact_opnorm).  Any other p gets Riesz-Thorin
+    upper bounds and lower bounds from one stacked_lower call at TIGHT_TOL, each
+    matrix a stack of one from default_starts(n, 32, seed): padded together up to
+    PAD_ORDER, each larger one alone on its own dense products.  Deterministic
+    given `seed`.
     """
     p = as_exponent(p)
     mats = [_as_square_matrix(A) for A in mats]
+    if p in (1.0, 2.0):
+        return [_exact_opnorm(A, p) for A in mats]
     found = stacked_lower([(1, len(A)) for A in mats], lambda i: mats[i][None],
                           lambda i: default_starts(len(mats[i]), 32, seed), p, tol=TIGHT_TOL)
     return [NormEstimate(float(lo), float(max(_interpolation_upper_of(A, p), lo)), w,
@@ -442,31 +461,10 @@ def grouped_opnorm(mats, p, *, seed: int = 0) -> list[NormEstimate]:
 
 
 def opnorm(A, p, *, seed: int = 0) -> NormEstimate:
-    """Certified bracket for the operator norm of A on ell^p_n.
-
-    p = 1 and p = 2 are exact (column sums, largest singular value); other
-    exponents get a Boyd-ascent lower bound over at least 32 starts (see
-    default_starts) and a Riesz-Thorin interpolation upper bound.
-    Deterministic given `seed`.
-    """
-    A = _as_square_matrix(A)
-    p = as_exponent(p)
-    n = A.shape[0]
-
-    if p == 1.0:
-        val, j = _norm1(A)
-        w = np.zeros(n, dtype=complex)
-        w[j] = 1.0
-        return NormEstimate(val, val, w, "exact-p1")
-
-    if p == 2.0:
-        val, w = _norm2(A)
-        return NormEstimate(val, val, w, "exact-p2")
-
-    [lower], W = boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X,
-                            default_starts(n, 32, seed), p)
-    upper = _interpolation_upper_of(A, p)
-    return NormEstimate(float(lower), float(max(upper, lower)), W[:, 0], "boyd+interp")
+    """Certified bracket for the operator norm of A on ell^p_n: grouped_opnorm of the
+    one matrix A, so exact at p = 1 and p = 2 and otherwise a Boyd lower bound at
+    TIGHT_TOL with a Riesz-Thorin upper bound."""
+    return grouped_opnorm([A], p, seed=seed)[0]
 
 
 def section_max(f, center, half, steps: int):

@@ -52,6 +52,9 @@ _SNAP_DENOMINATOR = 10**6
 # 2/9 each; (2/9)^10 = 2.9e-7 <= phi^-30 = 5.4e-7, so the final window is no
 # wider than 30 sequential golden-section steps leave
 _SECTION_STEPS = 10
+# finest arc-grid resolution, 32 times finer than the default 1/2048; an arc grid's
+# time and memory grow as 1/resolution, and 1e-9 would ask for about 10^9 angles
+_MIN_RESOLUTION = 2.0**-16
 
 Angle = object  # Fraction or float, in turns, normalized to [0, 1)
 
@@ -580,8 +583,9 @@ def _slots_lower(evaluate: Callable, slots: Mapping[int, ArcSet], p, resolution:
 
 
 def _check_resolution(resolution) -> None:
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    if not (math.isfinite(resolution) and resolution >= _MIN_RESOLUTION):
+        raise ValueError("resolution must be finite and positive, at least 2^-16, "
+                         f"got {resolution!r}")
 
 
 def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
@@ -597,7 +601,7 @@ def fpsigma_norm(f: LaurentPolynomial, config: SpectralConfiguration, p,
     certified upper bound uniform over the arc from interpolation, computed
     only when a slot has arcs; a full infinity slot contributes the
     bilateral convolution norm bracket.  ValueError unless `resolution` is
-    finite and positive, before any solve.
+    finite and at least 2^-16, before any solve.
     """
     p = as_exponent(p)
     _check_resolution(resolution)
@@ -645,7 +649,7 @@ def config_value(evaluate: Callable, config: SpectralConfiguration, p,
     as in fpsigma_norm.  This is
     the engine behind the membership probe, which feeds piecewise-linear
     bump functions that are not Laurent polynomials.  ValueError unless
-    `resolution` is finite and positive.
+    `resolution` is finite and at least 2^-16.
     """
     p = as_exponent(p)
     _check_resolution(resolution)

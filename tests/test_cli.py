@@ -98,7 +98,7 @@ class TestNorm:
         assert rc == EXIT_SCHEMA
 
     @pytest.mark.parametrize("conf", ["conf.json", "conf_arc.json"])
-    @pytest.mark.parametrize("resolution", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("resolution", ["nan", "inf", "-inf", "0", "1e-9"])
     def test_bad_resolution_is_precondition(self, files, capsys, conf, resolution):
         rc, out, err = run(capsys, "norm", "sigma", "--p", "3", "--seed", "0",
                            "--in", files[conf], "--poly", files["poly.json"],

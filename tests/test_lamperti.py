@@ -333,7 +333,8 @@ class TestFpvNorm:
 
     def test_direct_one_ascent(self, rng, monkeypatch):
         # every cycle block of order up to 16 in one grouped ascent at the tight
-        # tolerance; an order above 16 runs alone, at the same tolerance
+        # tolerance; an order above 16 runs alone, at the same tolerance; p = 1
+        # and p = 2 are exact, with no ascent at all
         import lpkit.pnorm as pnorm_module
 
         calls = []
@@ -354,6 +355,11 @@ class TestFpvNorm:
                      np.concatenate([T, [20, 21]]))
         fpv_norm(f, w, 3, "direct", seed=0)
         assert calls == [(1, TIGHT_TOL), (2, TIGHT_TOL)]
+        calls.clear()
+        for p in (1, 2):
+            for u in (v, w):
+                assert fpv_norm(f, u, p, "direct", seed=0).method == f"exact-p{p}"
+        assert calls == []
 
     def test_gauge_invariance(self, rng):
         v = random_spatial_isometry(rng, max_atoms=8)

@@ -489,15 +489,33 @@ class TestStackedLower:
 
     def test_order_above_cap_changes_no_bit(self, rng):
         # grouped_opnorm's order-20 matrix runs alone, the order-3 one padded: a
-        # call of both gives each the bits it gets in a call of its own
+        # call of both gives each the bits it gets in a call of its own, and
+        # opnorm(A) is grouped_opnorm of A alone, exact at p = 1 and p = 2
         A = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
         B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        for p in (1.5, 3.0):
+        for p in (1.0, 1.5, 2.0, 3.0):
             both = grouped_opnorm([A, B], p)
-            for got, [want] in zip(both, (grouped_opnorm([A], p), grouped_opnorm([B], p)),
-                                   strict=True):
+            for got, want in zip(both + both[:1], (*grouped_opnorm([A], p),
+                                                   *grouped_opnorm([B], p), opnorm(A, p)),
+                                 strict=True):
                 assert (got.lower, got.upper, got.method) == (want.lower, want.upper, want.method)
                 assert got.witness.tobytes() == want.witness.tobytes()
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_opnorm_is_one_grouped_ascent(self, rng, monkeypatch, n):
+        # one boyd_lower call, of one group at TIGHT_TOL, padded (order 5) or alone (20)
+        import lpkit.pnorm as pnorm_mod
+
+        calls = []
+        real = pnorm_mod.boyd_lower
+
+        def counting(matmat, rmatmat, starts, p, **kwargs):
+            calls.append((kwargs["groups"], kwargs["tol"]))
+            return real(matmat, rmatmat, starts, p, **kwargs)
+
+        monkeypatch.setattr(pnorm_mod, "boyd_lower", counting)
+        est = opnorm(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1.5)
+        assert calls == [(1, pnorm_mod.TIGHT_TOL)] and est.method == "boyd+interp"
 
     @pytest.mark.parametrize("n", [2, 5, 8, 16])
     def test_matmul_column_groups(self, rng, n):

@@ -581,7 +581,7 @@ class TestFpsigmaNorm:
                 assert est.lower >= lower * (1 - 1e-13), (n, p)
                 assert est.upper <= upper, (n, p)
 
-    @pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf, 0.0, -1 / 8])
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf, 0.0, -1 / 8, 1e-9])
     def test_resolution_checked_up_front(self, resolution):
         def evaluate(angles):
             raise AssertionError("no tuple may be evaluated")
@@ -593,6 +593,15 @@ class TestFpsigmaNorm:
                 fpsigma_norm(f, cfg, 3, resolution)
             with pytest.raises(ValueError, match="resolution must be finite and positive"):
                 config_value(evaluate, cfg, 3, resolution)
+
+    def test_finest_resolution_accepted(self):
+        # 2^-16 is the floor itself; a points-only configuration builds no arc grid
+        f = LaurentPolynomial(((0, 1), (1, 1)))
+        cfg = points_config({2: (0, Fr(1, 2))})
+        est = fpsigma_norm(f, cfg, 3, 2.0**-16)
+        assert est.lower == fpsigma_norm(f, cfg, 3).lower
+        assert config_value(lambda angles: f(np.exp(2j * math.pi * angles)), cfg, 3,
+                            2.0**-16) == est.lower
 
     def test_arc_slot_refinement_precision(self, rng):
         # at order 1 and p = 2 the tuple norm is |f|; the arc holds the peak of
