@@ -186,37 +186,38 @@ def fpzn_norm(x: CyclicElement, p, *, restarts: int = 32, tol: float = _CONVERGE
 
 
 def fpzn_norms(xis, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, seed: int = 0,
-               incumbent: float = 0.0, start=None) -> list[tuple]:
+               incumbent: float = 0.0, starts=None) -> list[tuple]:
     """fpzn_norm of each row of each (k, n) coordinate array in a list of any orders,
     solved together: one triple of arrays (lower, upper, witness), of shapes (k,),
     (k,) and (k, n), per array; each triple is the array's solve alone, bit for bit.
 
-    ValueError, before any ascent, unless every array is 2-D and finite and,
-    with `start`, of the start's order.  p in {1, 2}, order 1 and empty
-    arrays are exact.  The rest ascend at `tol` in pnorm.stacked_lower: orders
-    up to PAD_ORDER as dense circulant stacks in one grouped ascent, each
-    larger order alone on FFT products (_fft_products), both from the start
-    blocks of _start_block.  They keep e_0 alone of the basis (a circulant
-    commutes with the cyclic shift, so the ascent from e_j is e_0's rotated
-    by j), then for n <= 32 the DFT and random columns of
-    pnorm.default_starts(n, restarts, seed), one block for every row, for
-    larger n each row's eigenvectors of its 8 largest |xi| and 16 random
-    columns.  A carried `start`, such as a nearby tuple's witness, replaces
-    e_0 and the random columns, so the lower bound still dominates max |xi|
-    (Higham, Numer. Math. 62 (1992)).  Upper bounds interpolate the exact
-    endpoint norms.  With an `incumbent` lower bound (see boyd_lower), only
-    the maximum over the call and the incumbent is meant.
+    ValueError, before any ascent, unless every array is 2-D, finite and of its
+    carried start's order.  p in {1, 2}, order 1 and empty arrays are exact.
+    The rest ascend at `tol` in pnorm.stacked_lower: orders up to PAD_ORDER as
+    dense circulant stacks in one grouped ascent, each larger order alone on FFT
+    products (_fft_products), both from the start blocks of _start_block.  They
+    keep e_0 alone of the basis (a circulant commutes with the cyclic shift, so
+    the ascent from e_j is e_0's rotated by j), then for n <= 32 the DFT and
+    random columns of pnorm.default_starts(n, restarts, seed), one block for
+    every row, for larger n each row's eigenvectors of its 8 largest |xi| and 16
+    random columns.  `starts` holds one carried start or None per array; a
+    start, such as a nearby tuple's witness, replaces its array's e_0 and random
+    columns, so the lower bound still dominates max |xi| (Higham, Numer. Math.
+    62 (1992)).  Upper bounds interpolate the exact endpoint norms.  With an
+    `incumbent` lower bound (see boyd_lower), only the maximum over the call and
+    the incumbent is meant.
     """
     p = as_exponent(p)
     xis = [np.asarray(xi, dtype=complex) for xi in xis]
-    for xi in xis:
+    carried = [None] * len(xis) if starts is None else [
+        None if w is None else np.asarray(w, dtype=complex).reshape(-1, 1) for w in starts]
+    for xi, w in zip(xis, carried, strict=True):
         if xi.ndim != 2:
             raise ValueError(f"expected (k, n) coordinate arrays, got shape {xi.shape}")
         if not np.isfinite(xi).all():
             raise ValueError("coordinates must be finite")
-    carried = None if start is None else np.asarray(start, dtype=complex).reshape(-1, 1)
-    if carried is not None and any(xi.shape[1] != len(carried) for xi in xis):
-        raise ValueError(f"a start of order {len(carried)} for an array of another order")
+        if w is not None and len(w) != xi.shape[1]:
+            raise ValueError(f"a start of order {len(w)} for an array of order {xi.shape[1]}")
     mods = [np.abs(xi) for xi in xis]
     out = [_exact(xi, mod, p) for xi, mod in zip(xis, mods)]
     todo = [i for i, solved in enumerate(out) if solved is None]
@@ -224,7 +225,7 @@ def fpzn_norms(xis, p, *, restarts: int = 32, tol: float = _CONVERGENCE_TOL, see
     orders = [xis[i].shape[1] for i in todo]
     found = stacked_lower(
         [xis[i].shape for i in todo], lambda j: data[j][0][:, _circulant_index(orders[j])],
-        lambda j: _start_block(mods[todo[j]], restarts, seed, carried), p, tol=tol,
+        lambda j: _start_block(mods[todo[j]], restarts, seed, carried[todo[j]]), p, tol=tol,
         incumbent=incumbent, products=lambda j: _fft_products(data[j][0]))
     for i, (_, n1, n2), (lower, witness) in zip(todo, data, found):
         # Riesz-Thorin (p = inf equals p = 1 for a circulant) in Python-float powers,

@@ -202,8 +202,8 @@ def _narrow(running, settled) -> np.ndarray:
     return cols.repeat(2) if cols.size == 1 else cols
 
 
-def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
-               tol: float = _CONVERGENCE_TOL, *, groups: int = 1, select=lambda groups: None,
+def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float, *, tol: float,
+               groups: int = 1, select=lambda groups: None,
                incumbent: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Monotone lower bound on an operator p-norm by Boyd's ascent.
 
@@ -255,15 +255,16 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     prev = np.zeros(X.shape[1])
     stall = np.zeros(groups, dtype=int)
     live = np.arange(groups)  # the running groups, in block order
-    witnesses = [None] * groups
+    witnesses = np.zeros((X.shape[0], groups), dtype=complex)  # column g: group g's, once stopped
     select(cols // k)
 
     def freeze(slots, reason: str) -> None:
-        for i in live[slots]:
-            j = i * k + int(np.argmax(best_val[i * k:(i + 1) * k]))
-            witnesses[i] = best_X[:, j]
-            _log.debug("boyd_lower stopped (%s) after %d iterations, n=%d, %d columns",
-                       reason, it, X.shape[0], k)
+        stop = live[slots]
+        witnesses[:, stop] = best_X[:, stop * k + best_val.reshape(-1, k)[stop].argmax(axis=1)]
+        if _log.isEnabledFor(logging.DEBUG):
+            for _ in stop:
+                _log.debug("boyd_lower stopped (%s) after %d iterations, n=%d, %d columns",
+                           reason, it, X.shape[0], k)
 
     def retire(stalled, settled, *blocks):
         """Stop stalled and fully settled groups; drop them and settled columns."""
@@ -319,9 +320,8 @@ def boyd_lower(matmat, rmatmat, starts: np.ndarray, p: float,
     else:
         freeze(slice(None), "max_iter")
     select(np.arange(groups))
-    W = np.stack(witnesses, axis=1)
-    W /= _column_pnorms(W, p)
-    return _column_pnorms(matmat(W), p), W
+    witnesses /= _column_pnorms(witnesses, p)
+    return _column_pnorms(matmat(witnesses), p), witnesses
 
 
 def _column_pnorms(Y: np.ndarray, p: float) -> np.ndarray:
@@ -341,15 +341,19 @@ def _stacked_matmats(stack: np.ndarray):
     _GEMM_COLUMNS columns, so no column's bits depend on the others.
     """
     rows = np.arange(stack.shape[1])[:, None]
-    mats = adjoints = index = width = None
+    conj = stack.conj()
+    mats = adjoints = index = width = live = None
 
     def select(groups) -> None:
-        nonlocal mats, adjoints, index, width
-        live, first, at = np.unique(groups, return_index=True, return_inverse=True)
+        nonlocal mats, adjoints, index, width, live
+        change = np.ones(len(groups), dtype=bool)  # a matrix's first column (group-major block)
+        np.not_equal(groups[1:], groups[:-1], out=change[1:])
+        first, at = np.flatnonzero(change), np.cumsum(change) - 1
         pos = np.arange(len(groups)) - first[at]  # each column's place among its matrix's
-        mats = stack[live]
+        if not np.array_equal(groups[first], live):  # re-take matrices only when the set changes
+            live = groups[first]
+            mats, adjoints = stack[live], conj[live].swapaxes(1, 2)
         width = -(-(int(pos.max(initial=0)) + 1) // _GEMM_COLUMNS) * _GEMM_COLUMNS
-        adjoints = mats.conj().swapaxes(1, 2)
         # flat position of block entry (r, j) in the (matrix, row, column) array
         index = (at * len(rows) + rows) * width + pos
 

@@ -55,6 +55,9 @@ _SECTION_STEPS = 10
 # finest arc-grid resolution, 32 times finer than the default 1/2048; an arc grid's
 # time and memory grow as 1/resolution, and 1e-9 would ask for about 10^9 angles
 _MIN_RESOLUTION = 2.0**-16
+# largest order of an arc or full slot, whose confirmation solves n tuples of order n:
+# order 256 took 20-30 s and 233 MB, and order 4,096 exhausted memory
+_MAX_ARC_ORDER = 256
 
 Angle = object  # Fraction or float, in turns, normalized to [0, 1)
 
@@ -96,10 +99,13 @@ def _add(a: Angle, b: Angle) -> Angle:
     return (a + b) % 1
 
 
-def rotation_orbits(bases, n: int) -> list:
+def rotation_orbits(bases, n: int):
     """The orbits {b + j/n} of the rotation by 1/n, one after another:
-    _add(b, j/n), exact for exact b.  Float bases take _add's float branch
-    written out, as arc grids pass thousands of them."""
+    _add(b, j/n), exact for exact b.  A float array of bases, as arc grids
+    pass, gives a float array from one broadcast of _add's float branch
+    (b + j/n) % 1, with the same bits as Python floats."""
+    if isinstance(bases, np.ndarray):
+        return ((bases[:, None] + np.arange(n) / n) % 1).reshape(-1)
     return [_add(b, Fraction(j, n)) if isinstance(b, Fraction) else (float(b) + j / n) % 1
             for b in bases for j in range(n)]
 
@@ -514,72 +520,61 @@ def classify(config: SpectralConfiguration, p) -> DichotomyResult:
     return DichotomyResult("continuous", n, isometric_to_sup=(p == 2.0 or n == 1))
 
 
-def _slot_lower(evaluate: Callable, arcset: ArcSet, n: int, p, resolution: float,
-                seed: int, points: tuple) -> tuple[float, np.ndarray, bool, float]:
-    """Sup of tuple norms over a slot: exact over points, searched over arcs.
-
-    `points` holds fpzn_norms' arrays (lower, upper, witness) for the slot's
-    point tuples, one per rotation orbit (see _slots_lower).  Returns (lower
-    bound, witness, exact, point upper) where exact means the slot had no
-    arcs, so the sup is a finite max of certified point values, and point
-    upper is the largest upper bound over the slot's points.  The tuple at
-    a + j/n is a rotation of the one at a, with the same norm, so arcs are
-    searched over one orbit (ArcSet.orbit_representatives): a grid at
-    `resolution` is refined by _SECTION_STEPS steps of pnorm.section_max on
-    [g - resolution, g + resolution] around the best grid angle g; each step
-    starts from the witness of the best arc tuple so far (fpzn_norms'
-    `start`), then the best arc angle's n rotations are confirmed from the
-    full start block at TIGHT_TOL.  The lower bound is the best value evaluated,
-    a point's on ties; the tuples of the grid and of each step are solved together.
-    """
-    lower, upper, witnesses = points
-    best, witness = -math.inf, None
-    if lower.size:
-        best, witness = float(lower.max()), witnesses[lower.argmax()]
-
-    def solve(angles, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-        """fpzn_norms of the order-n tuples of values at the rotates of each angle,
-        from one `evaluate` call; the slot keeps the best lower bound."""
-        nonlocal best, witness
-        values = evaluate(np.array(rotation_orbits(angles, n), dtype=float))
-        [(lower, _, witnesses)] = fpzn_norms([values.reshape(-1, n)], p, seed=seed, **kwargs)
-        if lower.max() > best:
-            best, witness = float(lower.max()), witnesses[lower.argmax()]
-        return lower, witnesses
-
-    grid = arcset.orbit_representatives(n).arc_grid(resolution)
-    if grid:
-        arc = [-math.inf, None, None]  # the best arc tuple: lower bound, angle, witness
-
-        def search(angles, **kwargs) -> np.ndarray:
-            lower, witnesses = solve(angles, **kwargs)
-            if lower.max() > arc[0]:
-                arc[:] = lower.max(), angles[lower.argmax()], witnesses[lower.argmax()]
-            return lower
-
-        search(grid)
-        section_max(lambda angles: search(angles, start=arc[2]),
-                    float(arc[1]), resolution, _SECTION_STEPS)
-        solve(rotation_orbits([float(arc[1])], n), tol=TIGHT_TOL)
-    exact = not arcset.arcs and not arcset.full
-    return best, witness, exact, float(upper.max(initial=-math.inf))
-
-
 def _slots_lower(evaluate: Callable, slots: Mapping[int, ArcSet], p, resolution: float,
                  seed: int) -> list[tuple[float, np.ndarray, bool, float]]:
-    """_slot_lower of each slot n -> ArcSet, in slot order.
+    """Sup of tuple norms over each slot n -> ArcSet, exact over points and
+    searched over arcs: one (lower bound, witness, exact, point upper) per slot,
+    in slot order.  Exact means no arcs, so the sup is a finite max of
+    certified point values; point upper is the largest over the slot's points.
 
-    A slot's points are solved one tuple per rotation orbit (the first 1/n
-    of the sorted points), since rotated tuples have the same norm, and
-    the point tuples of every slot go to one cyclic.fpzn_norms call at
-    TIGHT_TOL.
+    The tuple at a + j/n is a rotation of the one at a, with the same norm, so a
+    slot is solved over one orbit (ArcSet.orbit_representatives): one tuple per
+    orbit of its points, every slot's in one fpzn_norms call at TIGHT_TOL; on its
+    arcs, a grid at `resolution` refined by _SECTION_STEPS steps of
+    pnorm.section_max on [g - resolution, g + resolution] around the best grid
+    angle g, each step from the witness of the slot's best arc tuple so far
+    (fpzn_norms' `starts`), then the best arc angle's n rotations from the full
+    start block at TIGHT_TOL.  The arc slots advance in lockstep, one column of
+    the search each, so the grids, each step and the confirmations are one
+    fpzn_norms call apiece, where each array's solve is its own.  A slot's lower
+    bound is the best value it evaluated, a point's on ties.  ValueError, before
+    any solve, for an arc or full slot of order above _MAX_ARC_ORDER.
     """
+    if any(n > _MAX_ARC_ORDER and (s.arcs or s.full) for n, s in slots.items()):
+        raise ValueError(f"arc and full slots must have order at most {_MAX_ARC_ORDER}")
     reps = [rotation_orbits(arcset.orbit_representatives(n).points, n)
             for n, arcset in slots.items()]
     points = fpzn_norms([evaluate(np.array(angles, dtype=float)).reshape(-1, n)
                          for angles, n in zip(reps, slots)], p, tol=TIGHT_TOL, seed=seed)
-    return [_slot_lower(evaluate, arcset, n, p, resolution, seed, solved)
-            for (n, arcset), solved in zip(slots.items(), points)]
+    best = [(float(lo.max()), wit[lo.argmax()]) if lo.size else (-math.inf, None)
+            for lo, _, wit in points]
+    grids = {i: np.array(arcset.orbit_representatives(n).arc_grid(resolution), dtype=float)
+             for i, (n, arcset) in enumerate(slots.items()) if arcset.arcs or arcset.full}
+    orders = [n for i, n in enumerate(slots) if i in grids]
+    arc = [(-math.inf, None, None)] * len(grids)  # best arc tuple: lower bound, angle, witness
+
+    def solve(angles, **kwargs) -> list:
+        """fpzn_norms of the order-n tuples at the rotates of angles[s] for each arc
+        slot s, one `evaluate` per slot; each slot keeps its best lower bound and
+        best arc tuple."""
+        found = fpzn_norms([evaluate(rotation_orbits(a, n)).reshape(-1, n)
+                            for a, n in zip(angles, orders)], p, seed=seed, **kwargs)
+        for s, (i, a, (lower, _, witnesses)) in enumerate(zip(grids, angles, found)):
+            if lower.max() > best[i][0]:
+                best[i] = float(lower.max()), witnesses[lower.argmax()]
+            if lower.max() > arc[s][0]:
+                arc[s] = lower.max(), a[lower.argmax()], witnesses[lower.argmax()]
+        return [lower for lower, _, _ in found]
+
+    if grids:
+        solve(list(grids.values()))
+        section_max(lambda angles: np.stack(solve(angles.T, starts=[w for *_, w in arc]), 1),
+                    np.array([a for _, a, _ in arc]), np.full(len(arc), resolution),
+                    _SECTION_STEPS)
+        solve([rotation_orbits(np.array([a]), n) for (_, a, _), n in zip(arc, orders)],
+              tol=TIGHT_TOL)
+    return [(lo, wit, not arcset.arcs and not arcset.full, float(upper.max(initial=-math.inf)))
+            for (lo, wit), arcset, (_, upper, _) in zip(best, slots.values(), points)]
 
 
 def _check_resolution(resolution) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclic import CyclicElement, fpzn_norm, fpzn_norms, json_complex, json_int
-from .pnorm import TIGHT_TOL, NormEstimate, as_exponent, interpolation_upper
+from .pnorm import PAD_ORDER, TIGHT_TOL, NormEstimate, as_exponent, interpolation_upper
 
 __all__ = [
     "LaurentPolynomial",
@@ -164,15 +164,12 @@ def cyclic_lower(f: LaurentPolynomial, n: int, p, *, seed: int = 0) -> float:
     return fpzn_norm(f.samples(n), p, tol=TIGHT_TOL, restarts=64, seed=seed).lower
 
 
-def _schedule(n_max: int) -> list[int]:
-    out = set()
-    k = 1
-    while k <= n_max:
-        out.add(k)
-        if 3 * k <= n_max:
-            out.add(3 * k)
-        k *= 2
-    return sorted(out)
+def _schedule(n_max: int) -> list[list[int]]:
+    """fpz_norm's orders {2^k, 3 * 2^k} up to n_max, one list per fpzn_norms call:
+    n = 1, then every n up to PAD_ORDER together, then each larger n alone."""
+    orders = sorted({m for k in range(n_max.bit_length()) for m in (2**k, 3 * 2**k) if m <= n_max})
+    small = [n for n in orders if 1 < n <= PAD_ORDER]
+    return [[1]] + ([small] if small else []) + [[n] for n in orders if n > PAD_ORDER]
 
 
 def fpz_upper(f: LaurentPolynomial, p) -> float:
@@ -201,10 +198,12 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
     p = 1 and p = 2 collapse to the exact ell^1 and sup values.  Otherwise
     the lower bound sweeps cyclic samples over n in {2^k, 3*2^k} up to n_max
     at base points {1, w_{2n}, argmax |f|}, and the upper bound is fpz_upper;
-    the sweep stops early once the bracket is tighter than tol.  Each ascent
-    gets the lower bound held so far as its incumbent, so one that cannot
-    raise it stops early.  ValueError, before any solve, unless tol is finite
-    and positive and 1 <= n_max <= _N_MAX (16384).
+    the sweep stops early once the bracket is tighter than tol.  The steps run
+    in _schedule's calls, each with the lower bound held so far as its
+    incumbent, so an ascent that cannot raise it stops early; a lower
+    incumbent only runs a step longer, so batching lowers no bound.
+    ValueError, before any solve, unless tol is finite and positive and
+    1 <= n_max <= _N_MAX (16384).
     """
     p = as_exponent(p)
     check_tol(tol)
@@ -229,12 +228,13 @@ def fpz_norm(f: LaurentPolynomial, p, tol: float = 1e-6, n_max: int = 4096, *,
 
     lower = 0.0
     witness = np.array([1.0 + 0.0j])
-    for n in _schedule(n_max):
-        bases = (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak)
-        [(lows, _, witnesses)] = fpzn_norms([[f.samples(n, t).xi for t in bases]], p,
-                                            seed=seed, incumbent=lower)
-        if lows.max() > lower:
-            lower, witness = float(lows.max()), witnesses[lows.argmax()]
+    for step in _schedule(n_max):
+        bases = [(1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak) for n in step]
+        for lows, _, witnesses in fpzn_norms([[f.samples(n, t).xi for t in ts]
+                                              for n, ts in zip(step, bases)], p,
+                                             seed=seed, incumbent=lower):
+            if lows.max() > lower:
+                lower, witness = float(lows.max()), witnesses[lows.argmax()]
         if upper - lower < tol:
             break
     return NormEstimate(lower, max(upper, lower), witness, "boyd+interp")

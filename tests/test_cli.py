@@ -106,6 +106,21 @@ class TestNorm:
         assert rc == EXIT_PRECONDITION and out == ""
         assert "resolution must be finite and positive" in err
 
+    def test_large_arc_order_is_precondition(self, files, capsys, tmp_path, monkeypatch):
+        # under 60 bytes of config would otherwise confirm 257 tuples of order 257
+        import lpkit.pnorm as pnorm_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no ascent may run")
+
+        monkeypatch.setattr(pnorm_mod, "boyd_lower", refuse)
+        conf = tmp_path / "conf_257.json"
+        conf.write_text(json.dumps({"finite": {"257": {"full": True}}}))
+        rc, out, err = run(capsys, "norm", "sigma", "--p", "1.5", "--seed", "0",
+                           "--in", str(conf), "--poly", files["poly.json"])
+        assert rc == EXIT_PRECONDITION and out == ""
+        assert "order at most 256" in err
+
     @pytest.mark.parametrize("option", ["--tol=nan", "--tol=inf", "--tol=-1",
                                         "--n-max=0", "--n-max=-3", "--n-max=1000000000"])
     def test_bad_tol_is_precondition(self, files, capsys, option):

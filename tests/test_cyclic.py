@@ -251,7 +251,7 @@ class TestFpznNorms:
 
         xs = self._elements(rng, n, 2)
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for kwargs in ({}, {"start": start}):
+        for kwargs in ({}, {"starts": [start]}):
             runs = []
             for pad in (pnorm_mod.PAD_ORDER, 0):
                 starts = []
@@ -286,7 +286,7 @@ class TestFpznNorms:
         xs = [CyclicElement(n, np.fft.ifft(rng.random(n)) * n) for _ in range(4)]
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xi = self._rows(xs)
-        for a, b in zip(self._solve(xi, p, seed=1, start=start), self._solve(xi, p, seed=1)):
+        for a, b in zip(self._solve(xi, p, seed=1, starts=[start]), self._solve(xi, p, seed=1)):
             assert a.lower == b.lower and a.upper == b.upper
 
     @pytest.mark.parametrize("n", [3, 6, 40])
@@ -297,7 +297,7 @@ class TestFpznNorms:
 
         xs = self._elements(rng, n, 3)
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for x, est in zip(xs, self._solve(self._rows(xs), p, seed=1, start=start)):
+        for x, est in zip(xs, self._solve(self._rows(xs), p, seed=1, starts=[start])):
             # the ascent from the carried start never ends below where it began,
             # and the witness reproduces the value reached
             assert est.lower >= value(x, start) * (1 - 1e-14)
@@ -329,7 +329,24 @@ class TestFpznNorms:
         patch_ascents(monkeypatch, lambda real: refuse)
         for orders in ((4,), (3, 4), (4, 40)):
             with pytest.raises(ValueError, match="start of order 3"):
-                fpzn_norms([np.ones((2, n)) for n in orders], 1.5, start=np.ones(3))
+                fpzn_norms([np.ones((2, n)) for n in orders], 1.5,
+                           starts=[np.ones(3)] * len(orders))
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0])
+    def test_per_array_starts_match_separate_calls(self, rng, p):
+        # one carried start or None per array; each array's triple is its call alone
+        orders = (3, 5, 5, 6, 40)
+        xis = [self._rows(self._elements(rng, n, 3)) for n in orders]
+        starts = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in orders]
+        starts[1] = None
+        together = fpzn_norms(xis, p, seed=2, starts=starts)
+        for xi, start, solved in zip(xis, starts, together, strict=True):
+            [alone] = fpzn_norms([xi], p, seed=2, starts=[start])
+            for a, b in zip(solved, alone, strict=True):
+                assert a.tobytes() == b.tobytes()
+        # a start per array: a list of the wrong length is refused before any ascent
+        with pytest.raises(ValueError):
+            fpzn_norms(xis, p, starts=starts[:-1])
 
     @pytest.mark.parametrize("n", [1, 5, 40])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -361,7 +378,7 @@ class TestFpznNorms:
         # group j: the circulant's ascent from e_j alone
         fhat = np.fft.fft(random_laurent(rng).samples(n).coefficients())
         matmat, rmatmat, select = cyclic._circulant_matmats(np.tile(fhat[:, None], n))
-        values, W = boyd_lower(matmat, rmatmat, np.eye(n, dtype=complex), p, TIGHT_TOL,
+        values, W = boyd_lower(matmat, rmatmat, np.eye(n, dtype=complex), p, tol=TIGHT_TOL,
                                groups=n, select=select)
         assert values == pytest.approx(values[0], rel=TIGHT_TOL if p == 1.2 else 1e-13)
         for j in range(n):

@@ -6,6 +6,7 @@ import pytest
 
 from lpkit.cyclic import circulant_of
 from lpkit.pnorm import (
+    _CONVERGENCE_TOL,
     NormEstimate,
     as_exponent,
     boyd_lower,
@@ -230,7 +231,7 @@ class TestTextbookBoyd:
 
         starts = np.tile(default_starts(5, 32, 0), 3)
         values, W = boyd_lower(lambda X: apply(A, X), lambda X: apply([a.conj().T for a in A], X),
-                               starts, 1.5, groups=3, select=select)
+                               starts, 1.5, tol=_CONVERGENCE_TOL, groups=3, select=select)
         assert values.shape == (3,) and W.shape == (5, 3)
         for a, v, w in zip(A, values, W.T):
             assert pnorm(w, 1.5) == pytest.approx(1.0, rel=1e-12)
@@ -346,7 +347,8 @@ class TestStallRule:
 
         n = A.shape[0]
         monkeypatch.setattr(pnorm_mod, "_MAX_ITER", 3)
-        boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, default_starts(n, 32, 0), 1.5)
+        boyd_lower(lambda X: A @ X, lambda X: A.conj().T @ X, default_starts(n, 32, 0), 1.5,
+                   tol=_CONVERGENCE_TOL)
 
     def test_stop_reason_logged(self, rng, caplog, monkeypatch):
         A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

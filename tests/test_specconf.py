@@ -21,6 +21,7 @@ from lpkit.specconf import (
     membership_probe,
     order,
     roots_of_unity_set,
+    rotation_orbits,
     saturate,
 )
 from lpkit.zline import LaurentPolynomial, fpz_norm, norm_l1
@@ -172,6 +173,17 @@ class TestArcSet:
             assert len(reps.arcs) * n == len(arcset.arcs)
             # kept as stored, so their grid is the slot's own, bit for bit
             assert reps.arcs == arcset.arcs[:len(reps.arcs)]
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12, 96])
+    def test_rotation_orbits_of_a_float_array(self, rng, n):
+        # the broadcast (b + j/n) % 1 of a float array gives the bits of the Python
+        # float loop, which exact fractions keep
+        bases = np.concatenate([rng.random(200), rng.random(8) - 1.0, [0.0, 1 - 2.0**-53]])
+        got = rotation_orbits(bases, n)
+        want = rotation_orbits(bases.tolist(), n)
+        assert type(got) is np.ndarray and got.tobytes() == np.array(want).tobytes()
+        assert rotation_orbits([Fr(1, 3)], n) == [(Fr(1, 3) + Fr(j, n)) % 1 for j in range(n)]
 
 
 class TestConfigurationBasics:
@@ -523,7 +535,7 @@ class TestFpsigmaNorm:
         grid = len(ArcSet(arcs=((0.1, 0.15),)).arc_grid(1.0 / 2048))
         assert [len(ests) for ests, _ in calls] == [grid] + [8] * 10 + [2]
         # only the steps start from a carried witness
-        carried = [kwargs.get("start") is not None for _, kwargs in calls]
+        carried = [kwargs.get("starts") is not None for _, kwargs in calls]
         assert carried == [False] + [True] * 10 + [False]
         assert calls[-1][1].get("tol") == TIGHT_TOL
         solved = points[0] + [e for ests, _ in calls for e in ests]
@@ -602,6 +614,89 @@ class TestFpsigmaNorm:
         assert est.lower == fpsigma_norm(f, cfg, 3).lower
         assert config_value(lambda angles: f(np.exp(2j * math.pi * angles)), cfg, 3,
                             2.0**-16) == est.lower
+
+    # three arc slots: an arc at order 1, two arcs and a point orbit at order 2,
+    # the full circle at order 3
+    _THREE_ARC_SLOTS = {
+        1: ArcSet(arcs=((0.1, 0.3),)),
+        2: ArcSet((Fr(1, 5), Fr(7, 10)), ((0.05, 0.12), (0.55, 0.62))),
+        3: ArcSet(full=True),
+    }
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_lockstep_slots_match_alone(self, p):
+        # every arc slot searches in lockstep with the others, one column each, but
+        # gets the lower bound and witness bytes it gets in a configuration alone
+        import lpkit.specconf as specconf
+
+        f = random_laurent(np.random.default_rng(29), span=4)
+        evaluate = lambda angles: f(np.exp(2j * math.pi * angles))  # noqa: E731
+        slots = self._THREE_ARC_SLOTS
+        together = specconf._slots_lower(evaluate, slots, p, 1 / 256, 0)
+        alone = [specconf._slots_lower(evaluate, {n: arcset}, p, 1 / 256, 0)[0]
+                 for n, arcset in slots.items()]
+        for (lo, wit, exact, up), (lo1, wit1, exact1, up1) in zip(together, alone, strict=True):
+            assert lo == lo1 and wit.tobytes() == wit1.tobytes()
+            assert exact is exact1 is False and up == up1
+        est = fpsigma_norm(f, SpectralConfiguration(slots), p, 1 / 256)
+        single = [fpsigma_norm(f, SpectralConfiguration({n: arcset}), p, 1 / 256)
+                  for n, arcset in slots.items()]
+        first = max(single, key=lambda e: e.lower)  # the first of the largest, as slots reduce
+        assert est.lower == first.lower and est.witness.tobytes() == first.witness.tobytes()
+        assert est.upper == max(e.upper for e in single)
+        value = config_value(evaluate, SpectralConfiguration(slots), p, 1 / 256)
+        assert value == max(config_value(evaluate, SpectralConfiguration({n: arcset}), p, 1 / 256)
+                            for n, arcset in slots.items()) == est.lower
+
+    @pytest.mark.parametrize("arc_slots", [1, 2, 3])
+    def test_thirteen_fpzn_calls_with_arcs(self, monkeypatch, arc_slots):
+        # the point tuples, the grids, ten k-section steps and the confirmations:
+        # one fpzn_norms call each, whatever the number of arc slots
+        import lpkit.specconf as specconf
+
+        calls = []
+        real = specconf.fpzn_norms
+
+        def counting(xis, p, **kwargs):
+            calls.append(len(xis))
+            return real(xis, p, **kwargs)
+
+        monkeypatch.setattr(specconf, "fpzn_norms", counting)
+        f = LaurentPolynomial(((0, 1), (1, 1j), (3, -0.5)))
+        slots = dict(list(self._THREE_ARC_SLOTS.items())[:arc_slots])
+        slots[4] = roots_of_unity_set(4, Fr(1, 8))
+        fpsigma_norm(f, SpectralConfiguration(slots), 1.5, 1 / 256)
+        assert calls == [arc_slots + 1] + [arc_slots] * 12
+        calls.clear()
+        fpsigma_norm(f, points_config({4: roots_of_unity_set(4).points}), 1.5)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("slot", [
+        pytest.param(ArcSet(full=True), id="full"),
+        pytest.param(ArcSet(arcs=tuple((Fr(j, 257) + Fr(1, 1000), Fr(j, 257) + Fr(2, 1000))
+                                       for j in range(257))), id="arcs"),
+    ])
+    def test_arc_order_checked_up_front(self, monkeypatch, slot):
+        # a full or arc slot of order n confirms n tuples of order n, so n^2 work:
+        # above order 256 it is refused before any tuple is solved
+        import lpkit.specconf as specconf
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no tuple may be solved")
+
+        monkeypatch.setattr(specconf, "fpzn_norms", refuse)
+        f = LaurentPolynomial(((0, 1), (1, 1)))
+        cfg = SpectralConfiguration({2: ArcSet(full=True), 257: slot})
+        with pytest.raises(ValueError, match="order at most 256"):
+            fpsigma_norm(f, cfg, 1.5)
+        with pytest.raises(ValueError, match="order at most 256"):
+            config_value(lambda angles: f(np.exp(2j * math.pi * angles)), cfg, 1.5)
+
+    def test_point_slot_of_large_order_accepted(self):
+        # a point slot solves one tuple per orbit, so the arc order cap leaves it alone
+        f = LaurentPolynomial(((0, 1), (1, 1)))
+        est = fpsigma_norm(f, SpectralConfiguration({300: roots_of_unity_set(300)}), 2)
+        assert est.lower == pytest.approx(2.0, rel=1e-12)
 
     def test_arc_slot_refinement_precision(self, rng):
         # at order 1 and p = 2 the tuple norm is |f|; the arc holds the peak of

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -255,6 +256,47 @@ class TestIncumbent:
                         brackets(cyclic.fpzn_norms([xs], 1.5, incumbent=0.0)[0]), strict=True):
             assert a.lower == b.lower and a.upper == b.upper
             assert np.array_equal(a.witness, b.witness)
+
+
+class TestFusedSchedule:
+    """fpz_norm solves n = 1 alone, then every n up to PAD_ORDER in one fpzn_norms
+    call from the bound n = 1 gave, then each larger n alone."""
+
+    @staticmethod
+    def _step_by_step(f, p, n_max, tol=1e-6):
+        """fpz_norm's lower bound with one call per n, each from the bound so far."""
+        upper, peak, lower = fpz_upper(f, p), sup_exact(f)[1], 0.0
+        for n in [n for step in zline._schedule(n_max) for n in step]:
+            bases = (1.0 + 0.0j, cmath.exp(1j * math.pi / n), peak)
+            [(lows, _, _)] = cyclic.fpzn_norms([[f.samples(n, t).xi for t in bases]], p,
+                                               seed=0, incumbent=lower)
+            lower = max(lower, float(lows.max()))
+            if upper - lower < tol:
+                break
+        return lower
+
+    def test_schedule(self, monkeypatch):
+        assert zline._schedule(1) == [[1]] and zline._schedule(3) == [[1], [2, 3]]
+        assert zline._schedule(96) == [[1], [2, 3, 4, 6, 8, 12, 16], [24], [32], [48], [64],
+                                       [96]]
+        calls = []
+        real = zline.fpzn_norms
+
+        def recording(xis, p, **kwargs):
+            calls.append([len(xi[0]) for xi in xis])
+            return real(xis, p, **kwargs)
+
+        monkeypatch.setattr(zline, "fpzn_norms", recording)
+        fpz_norm(poly((0, 1), (1, 0.5j), (3, -0.25)), 1.25, tol=1e-12, n_max=96)
+        assert calls == zline._schedule(96)
+
+    @pytest.mark.parametrize("p", [1.25, 3.0])
+    def test_never_below_step_by_step(self, p):
+        # a batch-mate changes no bit of a step, and a lower incumbent only runs it longer
+        for s in range(12):
+            rng = np.random.default_rng(5000 + s)
+            f = random_laurent(rng, span=int(rng.integers(2, 9)))
+            assert fpz_norm(f, p, n_max=48).lower >= self._step_by_step(f, p, 48), s
 
 
 class TestOneBasisStart:
